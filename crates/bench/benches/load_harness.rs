@@ -56,9 +56,9 @@ use causality_datagen::hard_instances::dense_triangles;
 use causality_datagen::tenants::{tenant_workload, TenantOp, TenantWorkload, TenantWorkloadConfig};
 use causality_engine::{Database, Schema, Value};
 use causality_service::{
-    BreakerConfig, ExplainMode, ExplainRequest, FaultKind, FaultPlan, HealthState, ManualClock,
-    PendingExplain, RetryPolicy, ServiceConfig, ServiceError, ShardedService, SupervisorConfig,
-    TenantId, TierConfig,
+    BreakerConfig, ExplainMode, ExplainRequest, FaultAction, FaultKind, FaultPlan, HealthState,
+    ManualClock, PendingExplain, RetryPolicy, ServiceConfig, ServiceError, ShardedService,
+    SupervisorConfig, TenantId, TierConfig,
 };
 use causality_telemetry::{Stage, TelemetryConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -319,7 +319,10 @@ fn assert_slow_log_outlier(workload: &TenantWorkload) -> String {
 
     // Stall the worker for the hard request so it overruns the slow
     // threshold deterministically.
-    tier.inject_delay(|_| Some(Duration::from_millis(20)));
+    tier.inject_faults(|_, _, _| FaultAction {
+        stall: Some(Duration::from_millis(20)),
+        ..FaultAction::default()
+    });
     let hard_req = ExplainRequest::why_so(triangle, vec![]);
     let resp = tier.explain(hard, hard_req).expect("serves");
     resp.result.expect("boolean triangle answer has causes");
@@ -463,8 +466,6 @@ struct ChaosNumbers {
     approx: u64,
     rejected: u64,
     retries: u64,
-    hedges: u64,
-    reroutes: u64,
     breaker_trips: u64,
     breaker_rejects: u64,
     restarts: u64,
@@ -474,7 +475,7 @@ struct ChaosNumbers {
 }
 
 /// Chaos soak: replay a seeded [`FaultPlan`] against a two-shard tier
-/// with an aggressive supervisor, retry/hedging, and tight per-tenant
+/// with an aggressive supervisor, retries, and tight per-tenant
 /// breakers — all traffic through `explain_with_retry`, faults keyed on
 /// shard request ordinals so the run replays identically for one seed.
 ///
@@ -504,7 +505,6 @@ fn chaos_soak(workload: &TenantWorkload, seed: u64, quick: bool) -> ChaosNumbers
                 base: Duration::from_millis(1),
                 cap: Duration::from_millis(40),
                 jitter_seed: seed,
-                hedge_after: Some(Duration::from_millis(15)),
             },
             breaker: BreakerConfig {
                 failure_threshold: 4,
@@ -561,7 +561,10 @@ fn chaos_soak(workload: &TenantWorkload, seed: u64, quick: bool) -> ChaosNumbers
 
     let plan = FaultPlan::generate(seed, SHARDS, horizon);
     print!("{}", plan.render());
-    tier.install_fault_plan(&plan);
+    tier.inject_faults({
+        let plan = plan.clone();
+        move |shard, ordinal, _| plan.action_for(shard, ordinal)
+    });
 
     // The plan injects dozens of caught panics; silence only those so
     // the soak output stays readable while real failures still print.
@@ -726,8 +729,6 @@ fn chaos_soak(workload: &TenantWorkload, seed: u64, quick: bool) -> ChaosNumbers
         approx,
         rejected,
         retries: fe.retries,
-        hedges: fe.hedges,
-        reroutes: fe.reroutes,
         breaker_trips: fe.breaker_trips,
         breaker_rejects: fe.breaker_rejects,
         restarts: agg.shard_restarts,
@@ -830,7 +831,10 @@ fn assert_admission_control(workload: &TenantWorkload) {
     let tenant = tier
         .add_tenant(&spec.name, spec.db.clone())
         .expect("fresh tier");
-    tier.inject_delay(|_| Some(Duration::from_millis(20)));
+    tier.inject_faults(|_, _, _| FaultAction {
+        stall: Some(Duration::from_millis(20)),
+        ..FaultAction::default()
+    });
 
     let req = ExplainRequest::why_so(spec.query.clone(), vec![spec.answers[0].clone()]);
     let mut accepted = Vec::new();
@@ -962,8 +966,6 @@ fn write_manifest(
     manifest.extra("chaos_approx_answers", &chaos.approx.to_string());
     manifest.extra("chaos_retryable_rejects", &chaos.rejected.to_string());
     manifest.extra("chaos_retries", &chaos.retries.to_string());
-    manifest.extra("chaos_hedges", &chaos.hedges.to_string());
-    manifest.extra("chaos_reroutes", &chaos.reroutes.to_string());
     manifest.extra("chaos_breaker_trips", &chaos.breaker_trips.to_string());
     manifest.extra("chaos_breaker_rejects", &chaos.breaker_rejects.to_string());
     manifest.extra("chaos_shard_restarts", &chaos.restarts.to_string());
@@ -999,15 +1001,13 @@ fn main() {
     let chaos = chaos_soak(&workload, cfg.workload.seed, quick);
     println!(
         "chaos soak   : {} faults, {} submissions → {} answered + {} retryable rejects (0 lost), \
-         {} retries, {} hedges, {} reroutes, {} breaker trips, {} restarts, {} quarantines, \
+         {} retries, {} breaker trips, {} restarts, {} quarantines, \
          recovered in {} ms",
         chaos.fault_events,
         chaos.submitted,
         chaos.answered,
         chaos.rejected,
         chaos.retries,
-        chaos.hedges,
-        chaos.reroutes,
         chaos.breaker_trips,
         chaos.restarts,
         chaos.quarantines,

@@ -16,9 +16,6 @@
 //!   delegates it to Huang et al. \[15\]).
 //! * [`witness`] — why-provenance (minimal witness basis), for the Sect. 5
 //!   comparison between provenance and causality.
-//! * [`semiring`] — provenance semirings (Green et al. \[12\]) evaluated
-//!   over the same valuation stream: Boolean, counting, tropical and
-//!   how-polynomials.
 //! * [`arena`] — interned lineage: [`LineageArena`] maps `TupleRef`s to
 //!   dense `u32` variable ids and [`BitDnf`]/[`VarSet`] run the hot
 //!   kernels (minimize, restrict, subset/intersection) on packed `u64`
@@ -33,7 +30,6 @@
 pub mod arena;
 pub mod dnf;
 pub mod oracle;
-pub mod semiring;
 pub mod whyno;
 pub mod whyso;
 pub mod witness;

@@ -1,8 +1,7 @@
 //! Deterministic fault injection: the seeded [`FaultPlan`] (PR 9).
 //!
-//! PR 4 introduced a single `inject_fault` hook — a closure that can
-//! make the next matching computation panic. That is enough to prove
-//! isolation, not recovery: a self-healing tier has to be soaked with
+//! A request predicate that makes matching computations panic is
+//! enough to prove isolation, not recovery: a self-healing tier has to be soaked with
 //! *schedules* of faults (panic bursts, worker stalls, submission
 //! bursts that fill channels, poisoned cache locks) and must converge
 //! back to healthy every time. A [`FaultPlan`] is such a schedule,
@@ -12,6 +11,11 @@
 //! shard's *request ordinal* (the position of the request in that
 //! shard's processing order), not on wall time — time-based injection
 //! would un-determinize the plan on a loaded machine.
+//!
+//! Plans and predicates share one injection point: the
+//! `Fn(shard, ordinal, &ExplainRequest) -> FaultAction` hook of
+//! [`ShardedService::inject_faults`](crate::ShardedService::inject_faults).
+//! A plan installs as `move |s, o, _| plan.action_for(s, o)`.
 
 use crate::retry::JitterRng;
 use std::fmt;

@@ -108,22 +108,6 @@ impl Dispatcher {
             .unwrap_or_else(PoisonError::into_inner)
             .len()
     }
-
-    /// The fallback shard for a retry or hedge whose home shard is
-    /// unhealthy (PR 9): the first shard after `home` (wrapping, home
-    /// itself excluded) that `healthy` accepts, or `None` when no other
-    /// shard qualifies. Deterministic, so retries of the same request
-    /// keep landing on the same fallback and its warmed caches.
-    pub(crate) fn fallback_route(
-        &self,
-        home: usize,
-        healthy: impl Fn(usize) -> bool,
-    ) -> Option<usize> {
-        let shards = self.shards as usize;
-        (1..shards)
-            .map(|offset| (home + offset) % shards)
-            .find(|&candidate| healthy(candidate))
-    }
 }
 
 #[cfg(test)]
@@ -169,23 +153,5 @@ mod tests {
         let d = Dispatcher::new(1);
         assert_eq!(d.route("anything"), 0);
         assert_eq!(d.register("anything").unwrap().shard(), 0);
-    }
-
-    #[test]
-    fn fallback_skips_unhealthy_shards_and_wraps() {
-        let d = Dispatcher::new(4);
-        // Shards 2 and 3 unhealthy: fallback from 1 wraps past them to 0.
-        let healthy = |s: usize| s == 0 || s == 1;
-        assert_eq!(d.fallback_route(1, healthy), Some(0));
-        assert_eq!(d.fallback_route(0, healthy), Some(1));
-    }
-
-    #[test]
-    fn fallback_never_returns_home_and_handles_no_healthy_sibling() {
-        let d = Dispatcher::new(3);
-        assert_eq!(d.fallback_route(1, |_| true), Some(2));
-        assert_eq!(d.fallback_route(1, |s| s == 1), None, "home is excluded");
-        let single = Dispatcher::new(1);
-        assert_eq!(single.fallback_route(0, |_| true), None);
     }
 }

@@ -28,21 +28,21 @@
 //! supervisor closes the recovery loop on top of that isolation: a shard
 //! whose workers wedge is quarantined, its pool restarted on the same
 //! queue (loss-free by construction), and probed back to
-//! [`HealthState::Healthy`]; retries and hedges route around it in the
-//! meantime.
+//! [`HealthState::Healthy`]. Retries stay on the tenant's home shard, so
+//! one shard's faults never spill onto another shard's queue or caches.
 
 use crate::breaker::{Admit, BreakerConfig, BreakerRegistry};
-use crate::chaos::FaultPlan;
+use crate::chaos::FaultAction;
 use crate::clock::{Clock, SystemClock};
 use crate::dispatch::{Dispatcher, TenantId};
 use crate::request::{ExplainRequest, ExplainResponse, PendingExplain, ServiceError};
 use crate::retry::{backoff, JitterRng, RetryPolicy};
-use crate::shard::{lock_unpoisoned, validate, ServiceConfig, Shard};
+use crate::shard::{lock_unpoisoned, validate, ServiceConfig, Shard, ShardCore, TenantKey};
 use crate::stats::{FrontendStats, ServiceStats};
 use crate::supervisor::{
     assess, HealthState, ShardSignals, ShardTracker, SupervisorConfig, Verdict,
 };
-use crate::worker::{anytime_routable, Job};
+use crate::worker::{anytime_routable, respond, Job};
 use causality_core::explain::Explainer;
 use causality_core::resp::approx::ApproxBudget;
 use causality_engine::{Database, Snapshot};
@@ -70,7 +70,7 @@ pub struct TierConfig {
     /// Deadline budget stamped on every request submitted without an
     /// explicit one ([`None`] = no deadline).
     pub default_deadline: Option<Duration>,
-    /// Retry/backoff/hedging policy used by
+    /// Retry/backoff policy used by
     /// [`ShardedService::explain_with_retry`]. Plain
     /// [`ShardedService::submit`]/[`ShardedService::explain`] never
     /// retry, so existing single-shot semantics are unchanged.
@@ -117,8 +117,8 @@ impl Default for TierConfig {
 pub struct TierStats {
     /// One [`ServiceStats`] per shard, indexed by shard number.
     pub shards: Vec<ServiceStats>,
-    /// Tier-level resilience counters (retries, hedges, breaker and
-    /// brownout activity) that live in the front end, not in any shard.
+    /// Tier-level resilience counters (retries, breaker and brownout
+    /// activity) that live in the front end, not in any shard.
     pub frontend: FrontendStats,
 }
 
@@ -141,8 +141,6 @@ impl TierStats {
 /// registry (shard registries hold per-shard serving metrics only).
 struct FrontendCounters {
     retries: Arc<Counter>,
-    hedges: Arc<Counter>,
-    reroutes: Arc<Counter>,
     brownout_served: Arc<Counter>,
     brownout_us: Arc<Counter>,
 }
@@ -151,8 +149,6 @@ impl FrontendCounters {
     fn new(registry: &MetricsRegistry) -> Self {
         FrontendCounters {
             retries: registry.counter("frontend_retries_total"),
-            hedges: registry.counter("frontend_hedges_total"),
-            reroutes: registry.counter("frontend_reroutes_total"),
             brownout_served: registry.counter("brownout_served_total"),
             brownout_us: registry.counter("brownout_us_total"),
         }
@@ -179,7 +175,7 @@ impl FrontendCounters {
 /// assert_eq!(resp.expect_explanation().causes.len(), 2);
 /// ```
 pub struct ShardedService {
-    shards: Arc<Vec<Shard>>,
+    pub(crate) shards: Arc<Vec<Shard>>,
     dispatcher: Dispatcher,
     cfg: TierConfig,
     breakers: Arc<BreakerRegistry>,
@@ -216,7 +212,7 @@ impl ShardedService {
                         cfg.shard,
                         cfg.admission_limit,
                         &format!("shard{i}"),
-                        Some(Arc::clone(&breakers)),
+                        Arc::clone(&breakers),
                     )
                 })
                 .collect(),
@@ -283,7 +279,7 @@ impl ShardedService {
         tenant: TenantId,
         request: ExplainRequest,
     ) -> Result<PendingExplain, ServiceError> {
-        self.submit_inner(tenant, request, self.cfg.default_deadline)
+        self.submit_routed(tenant, request, self.cfg.default_deadline, None)
     }
 
     /// Submit with an explicit per-request deadline budget: if the
@@ -295,52 +291,30 @@ impl ShardedService {
         request: ExplainRequest,
         budget: Duration,
     ) -> Result<PendingExplain, ServiceError> {
-        self.submit_inner(tenant, request, Some(budget))
-    }
-
-    fn submit_inner(
-        &self,
-        tenant: TenantId,
-        request: ExplainRequest,
-        deadline: Option<Duration>,
-    ) -> Result<PendingExplain, ServiceError> {
-        let (tx, rx) = mpsc::channel();
-        self.submit_routed(tenant, request, deadline, tenant.shard(), tx, None)?;
-        Ok(PendingExplain { rx })
+        self.submit_routed(tenant, request, Some(budget), None)
     }
 
     /// The one submission path every entry point funnels through:
-    /// validation, breaker admission, the brownout check, trace start
-    /// (with the PR 9 `retry` span when this is a backed-off retry), and
-    /// the admitted enqueue onto shard `shard_idx`.
+    /// validation, breaker admission, trace start (with the PR 9 `retry`
+    /// span when this is a backed-off retry), then either the brownout
+    /// answer or the admitted enqueue onto the tenant's home shard.
     fn submit_routed(
         &self,
         tenant: TenantId,
         request: ExplainRequest,
         deadline: Option<Duration>,
-        shard_idx: usize,
-        tx: mpsc::Sender<ExplainResponse>,
         retry_span: Option<(Instant, Duration)>,
-    ) -> Result<(), ServiceError> {
+    ) -> Result<PendingExplain, ServiceError> {
         validate(&request)?;
         let shard = self
             .shards
-            .get(shard_idx)
+            .get(tenant.shard())
             .ok_or_else(|| ServiceError::InvalidRequest("foreign tenant id".to_string()))?;
         // Per-tenant circuit breaker: an open breaker sheds the request
         // before it can touch a queue (and before tracing — like an
         // invalid request, it never reaches a shard).
         if let Admit::No(retry_after) = self.breakers.admit(tenant.key()) {
             return Err(ServiceError::CircuitOpen { retry_after });
-        }
-        // Brownout: with the tier past its high-water mark, a routable
-        // NP-hard request takes the certified zero-budget bracket inline
-        // instead of joining a backlogged queue. The caller still gets a
-        // response through its normal channel.
-        if self.brownout_active() && anytime_routable(&request) {
-            let response = self.brownout_response(shard, tenant, &request)?;
-            let _ = tx.send(response);
-            return Ok(());
         }
         // A retried submission's trace starts at the backoff wait so the
         // `retry` span (the wait itself) fits inside the trace window.
@@ -351,7 +325,7 @@ impl ShardedService {
         let mut trace = shard.core.telemetry.start(t0);
         if let Some(tb) = trace.as_deref_mut() {
             tb.set_request(
-                shard_idx,
+                tenant.shard(),
                 tenant.key(),
                 request.kind.label(),
                 request.query.atoms().len(),
@@ -361,6 +335,7 @@ impl ShardedService {
             }
             tb.begin(Stage::Dispatch);
         }
+        let (tx, rx) = mpsc::channel();
         let enqueued = Instant::now();
         let mut job = Job {
             tenant: tenant.key(),
@@ -370,14 +345,31 @@ impl ShardedService {
             tx,
             trace: None,
         };
+        // Brownout: with the tier past its high-water mark, a routable
+        // NP-hard request takes the certified zero-budget bracket inline
+        // instead of joining a backlogged queue. Its answer is accounted
+        // like a worker's: latency histogram, breaker record, trace.
+        let browned_out = self.brownout_active() && anytime_routable(&job.request);
         if let Some(tb) = trace.as_deref_mut() {
             if let Some(deadline) = job.deadline {
                 tb.set_deadline(deadline);
             }
-            tb.begin(Stage::ShardQueue);
+            tb.begin(if browned_out {
+                Stage::KernelSolve
+            } else {
+                Stage::ShardQueue
+            });
         }
         job.trace = trace;
-        shard.submit_admitted(job)
+        if browned_out {
+            shard.core.stats.requests.inc();
+            let (request, tail) = job.split();
+            let response = self.brownout_response(&shard.core, tenant.key(), &request);
+            respond(&shard.core, tail, response);
+        } else {
+            shard.submit_admitted(job)?;
+        }
+        Ok(PendingExplain { rx })
     }
 
     /// Update and read the brownout state from the tier-wide queued
@@ -416,27 +408,36 @@ impl ShardedService {
     /// zero-budget anytime bracket — the brownout degradation path.
     fn brownout_response(
         &self,
-        shard: &Shard,
-        tenant: TenantId,
+        core: &ShardCore,
+        tenant: TenantKey,
         request: &ExplainRequest,
-    ) -> Result<ExplainResponse, ServiceError> {
-        let store = shard
-            .core
-            .store(tenant.key())
-            .ok_or_else(|| ServiceError::InvalidRequest("foreign tenant id".to_string()))?;
+    ) -> ExplainResponse {
+        let Some(store) = core.store(tenant) else {
+            return ExplainResponse {
+                result: Err(ServiceError::InvalidRequest(
+                    "unknown tenant for this shard".to_string(),
+                )),
+                snapshot_version: 0,
+                cache_hit: false,
+            };
+        };
         let snapshot = store.current();
-        let index_cache = shard.core.index_cache_for(tenant.key(), &snapshot);
+        let index_cache = core.index_cache_for(tenant, &snapshot);
         let explainer = Explainer::new(snapshot.database(), &request.query)
             .with_method(request.method)
             .with_index_cache(index_cache);
-        let (explanation, _timing) =
-            explainer.why_anytime(&request.answer, ApproxBudget::zero())?;
-        self.fe.brownout_served.inc();
-        Ok(ExplainResponse {
-            result: Ok(explanation),
+        let result = explainer
+            .why_anytime(&request.answer, ApproxBudget::zero())
+            .map(|(explanation, _timing)| explanation)
+            .map_err(ServiceError::from);
+        if result.is_ok() {
+            self.fe.brownout_served.inc();
+        }
+        ExplainResponse {
+            result,
             snapshot_version: snapshot.version(),
             cache_hit: false,
-        })
+        }
     }
 
     /// Submit and wait: the blocking convenience call. Single-shot — see
@@ -450,13 +451,10 @@ impl ShardedService {
     }
 
     /// Submit and wait with the tier's [`RetryPolicy`]: transient
-    /// failures ([`ServiceError::is_retryable`]) are retried up to
-    /// `max_attempts` times under seeded full-jitter exponential backoff
-    /// (an [`ServiceError::Overloaded`] hint floors the wait), retries
-    /// re-route away from unhealthy shards, and — when
-    /// [`RetryPolicy::hedge_after`] is set — a response outstanding past
-    /// that budget is hedged onto a healthy sibling shard, first answer
-    /// wins. Terminal errors surface immediately.
+    /// failures ([`ServiceError::is_retryable`]) are retried on the
+    /// tenant's home shard up to `max_attempts` times under seeded
+    /// full-jitter exponential backoff (an [`ServiceError::Overloaded`]
+    /// hint floors the wait). Terminal errors surface immediately.
     pub fn explain_with_retry(
         &self,
         tenant: TenantId,
@@ -471,7 +469,15 @@ impl ShardedService {
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            let err = match self.attempt(tenant, request.clone(), retry_span.take()) {
+            let outcome = self
+                .submit_routed(
+                    tenant,
+                    request.clone(),
+                    self.cfg.default_deadline,
+                    retry_span.take(),
+                )
+                .and_then(PendingExplain::wait);
+            let err = match outcome {
                 Ok(response) => match &response.result {
                     Err(e) if e.is_retryable() && attempt < attempts => e.clone(),
                     _ => return Ok(response),
@@ -485,78 +491,6 @@ impl ShardedService {
             self.fe.retries.inc();
             retry_span = Some((wait_start, wait));
         }
-    }
-
-    /// One submit-and-wait attempt of [`ShardedService::explain_with_retry`]:
-    /// route (away from an unhealthy home on retries), submit, and wait —
-    /// hedging onto a sibling if the response is slower than
-    /// [`RetryPolicy::hedge_after`].
-    fn attempt(
-        &self,
-        tenant: TenantId,
-        request: ExplainRequest,
-        retry_span: Option<(Instant, Duration)>,
-    ) -> Result<ExplainResponse, ServiceError> {
-        let home = tenant.shard();
-        let mut target = home;
-        if retry_span.is_some() && self.shard_health(home) != Some(HealthState::Healthy) {
-            if let Some(fallback) = self.reroute_target(tenant, home) {
-                target = fallback;
-                self.fe.reroutes.inc();
-            }
-        }
-        let (tx, rx) = mpsc::channel();
-        self.submit_routed(
-            tenant,
-            request.clone(),
-            self.cfg.default_deadline,
-            target,
-            tx.clone(),
-            retry_span,
-        )?;
-        let Some(hedge_after) = self.cfg.retry.hedge_after else {
-            return rx.recv().map_err(|_| ServiceError::Disconnected);
-        };
-        match rx.recv_timeout(hedge_after) {
-            Ok(response) => Ok(response),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Tail hedge: mirror the request onto a healthy sibling
-                // sharing the same response channel; first answer wins,
-                // the loser's send lands in a dropped receiver.
-                if let Some(sibling) = self.reroute_target(tenant, target) {
-                    if self
-                        .submit_routed(
-                            tenant,
-                            request,
-                            self.cfg.default_deadline,
-                            sibling,
-                            tx,
-                            None,
-                        )
-                        .is_ok()
-                    {
-                        self.fe.hedges.inc();
-                    }
-                }
-                rx.recv().map_err(|_| ServiceError::Disconnected)
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(ServiceError::Disconnected),
-        }
-    }
-
-    /// Pick a healthy shard other than `avoid` for a retry or hedge of
-    /// `tenant`'s traffic, installing the tenant's snapshot store there
-    /// on first use. Sound across shards because both cache layers key
-    /// on process-wide-unique relation content stamps (PR 3).
-    fn reroute_target(&self, tenant: TenantId, avoid: usize) -> Option<usize> {
-        let fallback = self.dispatcher.fallback_route(avoid, |candidate| {
-            self.shards[candidate].core.health.get() == HealthState::Healthy
-        })?;
-        let store = self.shards[tenant.shard()].core.store(tenant.key())?;
-        if self.shards[fallback].core.store(tenant.key()).is_none() {
-            self.shards[fallback].install_store(tenant.key(), store);
-        }
-        Some(fallback)
     }
 
     /// Pin the tenant's current snapshot (for ad-hoc reads outside the
@@ -593,53 +527,33 @@ impl ShardedService {
             .ok_or_else(|| ServiceError::InvalidRequest("foreign tenant id".to_string()))
     }
 
-    /// Install a chaos-testing fault on **every** shard: matched
-    /// requests panic inside their worker (each shard must contain the
-    /// blast radius — see
-    /// [`CausalityService::inject_fault`](crate::CausalityService::inject_fault)).
-    /// To take down a single shard, match on something only that
-    /// shard's tenants send.
-    pub fn inject_fault(
+    /// Install the fault-injection hook on every shard, replacing any
+    /// earlier one. Each shard calls `hook(shard, ordinal, request)`
+    /// exactly once per computation, with its own shard index and the
+    /// next shard-local ordinal, and applies the returned
+    /// [`FaultAction`] inside the worker's panic boundary: stall, then
+    /// poison the responsibility-cache lock or panic. Each shard must
+    /// contain the blast radius. A seeded
+    /// [`FaultPlan`](crate::FaultPlan) installs as
+    /// `move |s, o, _| plan.action_for(s, o)`; a request predicate
+    /// ignores the ordinal.
+    pub fn inject_faults(
         &self,
-        hook: impl Fn(&ExplainRequest) -> bool + Send + Sync + Clone + 'static,
+        hook: impl Fn(usize, u64, &ExplainRequest) -> FaultAction + Send + Sync + 'static,
     ) {
-        for shard in self.shards.iter() {
-            *lock_unpoisoned(&shard.core.fault) = Some(Box::new(hook.clone()));
-            shard.core.chaos_armed.store(true, Ordering::Release);
-        }
-    }
-
-    /// Install a chaos/load-testing stall on every shard: matched
-    /// requests sleep for the returned duration before computing.
-    pub fn inject_delay(
-        &self,
-        hook: impl Fn(&ExplainRequest) -> Option<Duration> + Send + Sync + Clone + 'static,
-    ) {
-        for shard in self.shards.iter() {
-            *lock_unpoisoned(&shard.core.delay) = Some(Box::new(hook.clone()));
-            shard.core.chaos_armed.store(true, Ordering::Release);
-        }
-    }
-
-    /// Arm a seeded [`FaultPlan`]: each shard consults the plan with its
-    /// own computation ordinal, so one generated schedule drives every
-    /// worker-side fault (panics, stalls, lock poisoning) of a chaos
-    /// soak deterministically. Supersedes any hooks from
-    /// [`ShardedService::inject_fault`] / [`ShardedService::inject_delay`]
-    /// for ordinals the plan covers; disarm via
-    /// [`ShardedService::clear_faults`].
-    pub fn install_fault_plan(&self, plan: &FaultPlan) {
+        let hook = Arc::new(hook);
         for (i, shard) in self.shards.iter().enumerate() {
-            let plan = plan.clone();
-            *lock_unpoisoned(&shard.core.plan) =
-                Some(Box::new(move |ordinal| plan.action_for(i, ordinal)));
+            let hook = Arc::clone(&hook);
+            *lock_unpoisoned(&shard.core.fault) =
+                Some(Box::new(move |ordinal, request| hook(i, ordinal, request)));
             shard.core.chaos_armed.store(true, Ordering::Release);
         }
     }
 
-    /// How many computations shard `i` has started — the ordinal clock a
-    /// chaos harness reads to synchronize plan-external events (bursts,
-    /// clock skew) with the plan's worker-side schedule.
+    /// How many computations shard `i` has run with a fault hook armed —
+    /// the ordinal clock a chaos harness reads to synchronize
+    /// plan-external events (bursts, clock skew) with the plan's
+    /// worker-side schedule.
     pub fn shard_progress(&self, shard: usize) -> u64 {
         self.shards
             .get(shard)
@@ -647,14 +561,10 @@ impl ShardedService {
             .unwrap_or(0)
     }
 
-    /// Remove every hook installed by [`ShardedService::inject_fault`] /
-    /// [`ShardedService::inject_delay`] /
-    /// [`ShardedService::install_fault_plan`].
+    /// Remove the hook installed by [`ShardedService::inject_faults`].
     pub fn clear_faults(&self) {
         for shard in self.shards.iter() {
             *lock_unpoisoned(&shard.core.fault) = None;
-            *lock_unpoisoned(&shard.core.delay) = None;
-            *lock_unpoisoned(&shard.core.plan) = None;
             shard.core.chaos_armed.store(false, Ordering::Release);
         }
     }
@@ -668,12 +578,10 @@ impl ShardedService {
             .unwrap_or(0);
         FrontendStats {
             retries: self.fe.retries.get(),
-            hedges: self.fe.hedges.get(),
             breaker_trips: self.breakers.trips(),
             breaker_rejects: self.breakers.rejects(),
             brownout_served: self.fe.brownout_served.get(),
             brownout_us: self.fe.brownout_us.get() + live_brownout_us,
-            reroutes: self.fe.reroutes.get(),
         }
     }
 
@@ -734,7 +642,7 @@ impl ShardedService {
     }
 
     /// Prometheus text exposition of the **tier-level** registry — the
-    /// front end's retry/hedge/brownout counters and the shared circuit
+    /// front end's retry/brownout counters and the shared circuit
     /// breakers — under the `causality_tier_` prefix (one series each;
     /// the `shard="0"` label is an artifact of the exporter's per-slice
     /// labelling).
@@ -969,7 +877,10 @@ mod tests {
         });
         let t = tier.add_tenant("hot", example_2_2()).unwrap();
         // Stall every computation so submissions pile up in the queue.
-        tier.inject_delay(|_| Some(Duration::from_millis(80)));
+        tier.inject_faults(|_, _, _| FaultAction {
+            stall: Some(Duration::from_millis(80)),
+            ..FaultAction::default()
+        });
         let req = ExplainRequest::why_so(query(), vec![Value::str("a2")]);
         let mut accepted = Vec::new();
         let mut rejected = 0u64;
@@ -1009,8 +920,9 @@ mod tests {
             ..TierConfig::default()
         });
         let t = tier.add_tenant("t", example_2_2()).unwrap();
-        tier.inject_delay(|req| {
-            (req.answer == vec![Value::str("a2")]).then_some(Duration::from_millis(60))
+        tier.inject_faults(|_, _, req| FaultAction {
+            stall: (req.answer == vec![Value::str("a2")]).then_some(Duration::from_millis(60)),
+            ..FaultAction::default()
         });
         let blocker = tier
             .submit(t, ExplainRequest::why_so(query(), vec![Value::str("a2")]))
@@ -1057,6 +969,46 @@ mod tests {
         assert!(warm.cache_hit, "alice's writes cannot cool bob's shard");
         let stats = tier.stats();
         assert_eq!(stats.shards[bob.shard()].index_evictions, 0);
+    }
+
+    #[test]
+    fn fault_hook_sees_each_shards_own_ordinals() {
+        let tier = small_tier();
+        let mut names = (0..16).map(|i| format!("tenant-{i}"));
+        let first = names.next().unwrap();
+        let alice = tier.add_tenant(&first, example_2_2()).unwrap();
+        let second = names
+            .find(|n| Dispatcher::new(2).route(n) != alice.shard())
+            .expect("some name routes elsewhere");
+        let bob = tier.add_tenant(&second, example_2_2()).unwrap();
+
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        tier.inject_faults({
+            let seen = Arc::clone(&seen);
+            move |shard, ordinal, _| {
+                lock_unpoisoned(&seen).push((shard, ordinal));
+                FaultAction::default()
+            }
+        });
+        // Distinct answers: every request is a fresh computation.
+        for (tenant, answers) in [(alice, &["a2", "a3", "a4"][..]), (bob, &["a2", "a3"][..])] {
+            for a in answers {
+                let req = ExplainRequest::why_so(query(), vec![Value::str(*a)]);
+                tier.explain(tenant, req).unwrap().result.unwrap();
+            }
+        }
+        let seen = lock_unpoisoned(&seen).clone();
+        let ordinals = |shard: usize| -> Vec<u64> {
+            seen.iter()
+                .filter(|(s, _)| *s == shard)
+                .map(|(_, o)| *o)
+                .collect()
+        };
+        assert_eq!(ordinals(alice.shard()), vec![0, 1, 2]);
+        assert_eq!(ordinals(bob.shard()), vec![0, 1]);
+        assert_eq!(tier.shard_progress(alice.shard()), 3);
+        assert_eq!(tier.shard_progress(bob.shard()), 2);
+        tier.shutdown();
     }
 
     #[test]
@@ -1129,7 +1081,10 @@ mod tests {
         let req = ExplainRequest::why_so(query(), vec![Value::str("a2")]);
 
         // Two consecutive panics trip the tenant's breaker.
-        tier.inject_fault(|_| true);
+        tier.inject_faults(|_, _, _| FaultAction {
+            panic: true,
+            ..FaultAction::default()
+        });
         for _ in 0..2 {
             let resp = tier.explain(t, req.clone()).unwrap();
             assert!(matches!(resp.result, Err(ServiceError::Panicked(_))));
@@ -1177,7 +1132,10 @@ mod tests {
         // Panic exactly once: the first computation dies, the retry lands.
         let armed = Arc::new(AtomicBool::new(true));
         let hook_armed = Arc::clone(&armed);
-        tier.inject_fault(move |_| hook_armed.swap(false, Ordering::Relaxed));
+        tier.inject_faults(move |_, _, _| FaultAction {
+            panic: hook_armed.swap(false, Ordering::Relaxed),
+            ..FaultAction::default()
+        });
         let req = ExplainRequest::why_so(query(), vec![Value::str("a2")]);
         let resp = tier.explain_with_retry(t, req).unwrap();
         assert!(resp.result.is_ok(), "retry recovered the answer");
@@ -1193,7 +1151,10 @@ mod tests {
             ..TierConfig::default()
         });
         let t = tier.add_tenant("one-shot", example_2_2()).unwrap();
-        tier.inject_fault(|_| true);
+        tier.inject_faults(|_, _, _| FaultAction {
+            panic: true,
+            ..FaultAction::default()
+        });
         let resp = tier
             .explain(t, ExplainRequest::why_so(query(), vec![Value::str("a2")]))
             .unwrap();

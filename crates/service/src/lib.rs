@@ -28,11 +28,13 @@
 //!   own responsibility LRU — so one tenant's writes or traffic can
 //!   never evict, queue behind, or crash another shard's tenants.
 //!
-//! [`CausalityService`] remains as the single-tenant facade over one
-//! shard (blocking `submit` backpressure, `try_submit`, no admission
-//! control), preserving the original embedded-service semantics.
+//! There is one way into a shard: the front end's admitted submit.
+//! [`CausalityService`] keeps the original single-database API as a
+//! [`ShardedService`] with one shard and one tenant, so it shares that
+//! path — including admission: a submit past
+//! [`ServiceConfig::queue_capacity`] returns [`ServiceError::Overloaded`].
 //!
-//! Mechanisms shared by both entry points:
+//! Mechanisms shared by both services:
 //! * snapshots — writers [`CausalityService::publish`]/[`CausalityService::update`]
 //!   new immutable database versions while readers keep evaluating
 //!   against the snapshot they pinned (see
@@ -63,9 +65,8 @@
 //!   `catch_unwind` boundary, so a panicking job resolves to
 //!   [`ServiceError::Panicked`] instead of killing its worker (counted
 //!   in [`ServiceStats::panics_caught`]); service mutexes recover from
-//!   poisoning, and [`CausalityService::inject_fault`] /
-//!   [`CausalityService::inject_delay`] let tests panic or stall chosen
-//!   requests on purpose;
+//!   poisoning, and one fault hook, [`ShardedService::inject_faults`],
+//!   lets tests stall, panic, or poison chosen computations on purpose;
 //! * observability — [`ServiceStats`] carries request/cache/coalesce
 //!   counters, admission rejects, deadline misses, a live queue-depth
 //!   gauge, and a fixed-bucket submit→response latency histogram
@@ -105,15 +106,14 @@
 //!   rate), restarts a quarantined shard's worker pool **on the same
 //!   queue** (loss-free by construction) and probes it back to healthy;
 //!   [`ShardedService::explain_with_retry`] retries transient failures
-//!   ([`ServiceError::is_retryable`]) under seeded full-jitter backoff
-//!   with optional tail-latency hedging, re-routing away from unhealthy
-//!   shards; per-tenant circuit breakers ([`BreakerConfig`]) shed a
+//!   ([`ServiceError::is_retryable`]) on the tenant's home shard under
+//!   seeded full-jitter backoff; per-tenant circuit breakers ([`BreakerConfig`]) shed a
 //!   tenant whose requests keep dying before they can occupy queues;
 //!   and past a configurable high-water mark the tier *browns out*,
 //!   serving routable NP-hard requests inline with the certified
 //!   zero-budget bracket instead of rejecting them. Deterministic chaos
-//!   soaks drive all of it via seeded [`FaultPlan`]s
-//!   ([`ShardedService::install_fault_plan`]).
+//!   soaks drive all of it via seeded [`FaultPlan`]s installed as the
+//!   fault hook.
 //!
 //! # Example
 //!

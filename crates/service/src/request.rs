@@ -112,8 +112,6 @@ impl ExplainResponse {
 pub enum ServiceError {
     /// The service has shut down (or its worker died) before responding.
     Disconnected,
-    /// The bounded request queue is full (`try_submit` only).
-    QueueFull,
     /// Admission control rejected the request: the target shard's queue
     /// depth had reached its configured limit. The reject is returned to
     /// the caller immediately (never silently dropped) so an open-loop
@@ -151,7 +149,6 @@ impl fmt::Display for ServiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServiceError::Disconnected => write!(f, "explanation service is shut down"),
-            ServiceError::QueueFull => write!(f, "request queue is full"),
             ServiceError::Overloaded { retry_after } => {
                 write!(
                     f,
@@ -183,7 +180,6 @@ impl ServiceError {
     pub fn outcome_label(&self) -> &'static str {
         match self {
             ServiceError::Disconnected => "disconnected",
-            ServiceError::QueueFull => "queue_full",
             ServiceError::Overloaded { .. } => "overloaded",
             ServiceError::CircuitOpen { .. } => "circuit_open",
             ServiceError::DeadlineExceeded => "deadline_exceeded",
@@ -196,8 +192,8 @@ impl ServiceError {
 
     /// Whether a retry of the same request may legitimately succeed.
     ///
-    /// Retryable errors are *transient tier states* — a full queue, an
-    /// overloaded shard, an open breaker, a response-wait timeout, or a
+    /// Retryable errors are *transient tier states* — an overloaded
+    /// shard, an open breaker, a response-wait timeout, or a
     /// panicked worker (the shard recovered; the panic poisoned one
     /// request, not the data). Terminal errors are properties of the
     /// request itself ([`ServiceError::InvalidRequest`],
@@ -207,8 +203,7 @@ impl ServiceError {
     /// time to reproduce the same answer.
     pub fn is_retryable(&self) -> bool {
         match self {
-            ServiceError::QueueFull
-            | ServiceError::Overloaded { .. }
+            ServiceError::Overloaded { .. }
             | ServiceError::CircuitOpen { .. }
             | ServiceError::Timeout
             | ServiceError::Panicked(_) => true,
@@ -291,7 +286,6 @@ mod tests {
     #[test]
     fn error_display() {
         assert!(ServiceError::Disconnected.to_string().contains("shut down"));
-        assert!(ServiceError::QueueFull.to_string().contains("full"));
         let overloaded = ServiceError::Overloaded {
             retry_after: Duration::from_millis(7),
         };
@@ -309,8 +303,7 @@ mod tests {
 
     #[test]
     fn retryable_taxonomy_splits_transient_from_terminal() {
-        let retryable: [ServiceError; 5] = [
-            ServiceError::QueueFull,
+        let retryable: [ServiceError; 4] = [
             ServiceError::Overloaded {
                 retry_after: Duration::from_millis(1),
             },

@@ -1,5 +1,4 @@
-//! Front-end retry policy: seeded jittered exponential backoff plus
-//! optional tail-latency hedging (PR 9).
+//! Front-end retry policy: seeded jittered exponential backoff (PR 9).
 //!
 //! The policy is deliberately *deterministic given its seed*: backoff
 //! schedules come from a seeded xorshift generator, so a failing run
@@ -22,10 +21,6 @@ pub struct RetryPolicy {
     pub cap: Duration,
     /// Seed of the jitter stream; equal seeds replay equal schedules.
     pub jitter_seed: u64,
-    /// If set, a hedge request is sent to a healthy sibling shard when
-    /// the first attempt has produced no response after this long.
-    /// `None` disables hedging.
-    pub hedge_after: Option<Duration>,
 }
 
 impl Default for RetryPolicy {
@@ -35,17 +30,15 @@ impl Default for RetryPolicy {
             base: Duration::from_millis(2),
             cap: Duration::from_millis(200),
             jitter_seed: 0x9e37_79b9_7f4a_7c15,
-            hedge_after: None,
         }
     }
 }
 
 impl RetryPolicy {
-    /// A policy that never retries and never hedges (PR ≤ 8 behaviour).
+    /// A policy that never retries (PR ≤ 8 behaviour).
     pub fn disabled() -> Self {
         RetryPolicy {
             max_attempts: 1,
-            hedge_after: None,
             ..RetryPolicy::default()
         }
     }

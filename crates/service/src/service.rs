@@ -1,28 +1,28 @@
-//! The single-shard concurrent explanation service (the PR 2 API).
+//! The single-database explanation service (the PR 2 API).
 //!
-//! [`CausalityService`] wraps exactly one `Shard`
-//! hosting exactly one tenant: the worker pool, batching, coalescing,
-//! snapshot store, index cache, and responsibility LRU all live in the
-//! shard/worker layers shared with the multi-tenant
-//! [`ShardedService`](crate::ShardedService). What this facade adds is
-//! the original single-database ergonomics: `submit` blocks for
-//! backpressure (no admission control), `try_submit` reports
-//! [`ServiceError::QueueFull`], and writes go straight to the one store.
+//! [`CausalityService`] is a [`ShardedService`] with one shard hosting
+//! one tenant: every call is a one-line call into the tier, so the
+//! single-database API shares the tier's one submission path, admission
+//! control, fault hook, stats, and exports. A submit finding the queue
+//! at [`ServiceConfig::queue_capacity`] is rejected with
+//! [`ServiceError::Overloaded`] instead of blocking.
 
+use crate::breaker::BreakerConfig;
+use crate::chaos::FaultAction;
+use crate::dispatch::TenantId;
+use crate::frontend::{ShardedService, TierConfig};
 use crate::request::{ExplainRequest, ExplainResponse, PendingExplain, ServiceError};
-use crate::shard::{lock_unpoisoned, validate, Shard, TenantKey};
 use crate::stats::ServiceStats;
-use crate::worker::Job;
-use causality_engine::{Database, Snapshot, SnapshotStore};
-use causality_telemetry::{metrics_jsonl, prometheus_text, traces_jsonl, RequestTrace, Stage};
-use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use crate::supervisor::SupervisorConfig;
+use causality_engine::{Database, Snapshot};
+use causality_telemetry::RequestTrace;
+use std::time::Duration;
 
 pub use crate::shard::ServiceConfig;
 
-/// The one tenant a single-shard service hosts.
-const SOLE_TENANT: TenantKey = 0;
+/// Why the sole tenant's lookups cannot fail: it is registered when the
+/// service is built and never removed.
+const SOLE_TENANT: &str = "the sole tenant is registered at construction";
 
 /// A concurrent explanation service over one logical database.
 ///
@@ -38,8 +38,8 @@ const SOLE_TENANT: TenantKey = 0;
 /// assert_eq!(resp.expect_explanation().causes.len(), 2);
 /// ```
 pub struct CausalityService {
-    pub(crate) shard: Shard,
-    store: Arc<SnapshotStore>,
+    tier: ShardedService,
+    tenant: TenantId,
 }
 
 impl CausalityService {
@@ -48,69 +48,26 @@ impl CausalityService {
         CausalityService::with_config(db, ServiceConfig::default())
     }
 
-    /// Start a service with explicit tuning knobs.
+    /// Start a service with explicit tuning knobs: one shard, admission
+    /// at the queue's capacity, no circuit breakers, no supervisor.
     pub fn with_config(db: Database, cfg: ServiceConfig) -> Self {
-        // No tier-shared breaker registry: the single-shard facade keeps
-        // the PR 2 semantics (no admission control, no traffic shedding).
-        let shard = Shard::spawn(cfg, usize::MAX, "causality", None);
-        let store = shard.add_tenant(SOLE_TENANT, db);
-        CausalityService { shard, store }
+        let tier = ShardedService::new(TierConfig {
+            shards: 1,
+            admission_limit: cfg.queue_capacity,
+            breaker: BreakerConfig::disabled(),
+            supervisor: SupervisorConfig::disabled(),
+            shard: cfg,
+            ..TierConfig::default()
+        });
+        let tenant = tier.add_tenant("causality", db).expect("fresh tier");
+        CausalityService { tier, tenant }
     }
 
-    /// Validate, build the job, and (when sampled) open its trace through
-    /// the Admission → Dispatch → ShardQueue stages.
-    fn prepare(
-        &self,
-        request: ExplainRequest,
-        budget: Option<Duration>,
-    ) -> Result<(Job, PendingExplain), ServiceError> {
-        let t0 = Instant::now();
-        validate(&request)?;
-        let mut trace = self.shard.core.telemetry.start(t0);
-        if let Some(tb) = trace.as_deref_mut() {
-            tb.set_request(
-                0,
-                SOLE_TENANT,
-                request.kind.label(),
-                request.query.atoms().len(),
-            );
-            tb.begin(Stage::Dispatch);
-        }
-        let (tx, rx) = mpsc::channel();
-        let enqueued = Instant::now();
-        let deadline = budget.map(|budget| enqueued + budget);
-        if let Some(tb) = trace.as_deref_mut() {
-            if let Some(deadline) = deadline {
-                tb.set_deadline(deadline);
-            }
-            tb.begin(Stage::ShardQueue);
-        }
-        Ok((
-            Job {
-                tenant: SOLE_TENANT,
-                request,
-                deadline,
-                enqueued,
-                tx,
-                trace,
-            },
-            PendingExplain { rx },
-        ))
-    }
-
-    /// Enqueue a request, blocking while the queue is full (backpressure).
+    /// Enqueue a request. Never blocks: past the queue's capacity the
+    /// request is rejected with [`ServiceError::Overloaded`] (counted in
+    /// [`ServiceStats::admission_rejects`]).
     pub fn submit(&self, request: ExplainRequest) -> Result<PendingExplain, ServiceError> {
-        let (job, pending) = self.prepare(request, None)?;
-        self.shard.submit_blocking(job)?;
-        Ok(pending)
-    }
-
-    /// Enqueue a request without blocking; [`ServiceError::QueueFull`]
-    /// when the bounded queue has no room.
-    pub fn try_submit(&self, request: ExplainRequest) -> Result<PendingExplain, ServiceError> {
-        let (job, pending) = self.prepare(request, None)?;
-        self.shard.try_submit(job)?;
-        Ok(pending)
+        self.tier.submit(self.tenant, request)
     }
 
     /// Enqueue a request with a per-request **deadline budget**: if the
@@ -122,71 +79,50 @@ impl CausalityService {
         request: ExplainRequest,
         budget: Duration,
     ) -> Result<PendingExplain, ServiceError> {
-        let (job, pending) = self.prepare(request, Some(budget))?;
-        self.shard.submit_blocking(job)?;
-        Ok(pending)
+        self.tier.submit_with_deadline(self.tenant, request, budget)
     }
 
     /// Submit and wait: the blocking convenience call.
     pub fn explain(&self, request: ExplainRequest) -> Result<ExplainResponse, ServiceError> {
-        self.submit(request)?.wait()
+        self.tier.explain(self.tenant, request)
     }
 
     /// Pin the current snapshot (for ad-hoc reads outside the pool).
     pub fn snapshot(&self) -> Snapshot {
-        self.store.current()
+        self.tier.snapshot(self.tenant).expect(SOLE_TENANT)
     }
 
     /// Publish a whole new database as the next snapshot version.
     pub fn publish(&self, db: Database) -> u64 {
-        self.store.publish(db).version()
+        self.tier.publish(self.tenant, db).expect(SOLE_TENANT)
     }
 
     /// Copy-on-write update of the current snapshot; returns the new
     /// version. In-flight requests keep their pinned older snapshots.
     pub fn update(&self, f: impl FnOnce(&mut Database)) -> u64 {
-        self.store.update(f).version()
+        self.tier.update(self.tenant, f).expect(SOLE_TENANT)
     }
 
-    /// Install a chaos-testing fault: every request the predicate
-    /// matches **panics** inside the worker that computes it. The pool
-    /// must isolate the blast radius — the matched request resolves to
-    /// [`ServiceError::Panicked`], the panic is counted in
+    /// Install the fault-injection hook (see
+    /// [`ShardedService::inject_faults`]; the shard index is always 0).
+    /// A request the hook marks to panic resolves to
+    /// [`ServiceError::Panicked`], counted in
     /// [`ServiceStats::panics_caught`], and every worker keeps serving.
-    /// Used by the panic-isolation regression tests; also handy for
-    /// game-day drills against a staging deployment.
-    pub fn inject_fault(&self, hook: impl Fn(&ExplainRequest) -> bool + Send + Sync + 'static) {
-        *lock_unpoisoned(&self.shard.core.fault) = Some(Box::new(hook));
-        self.shard.core.chaos_armed.store(true, Ordering::Release);
-    }
-
-    /// Install a chaos/load-testing stall: every request the hook
-    /// matches sleeps for the returned duration inside its worker before
-    /// computing — simulating slow computations (to fill queues, expire
-    /// deadlines, or exercise admission control) without burning CPU.
-    pub fn inject_delay(
+    pub fn inject_faults(
         &self,
-        hook: impl Fn(&ExplainRequest) -> Option<Duration> + Send + Sync + 'static,
+        hook: impl Fn(usize, u64, &ExplainRequest) -> FaultAction + Send + Sync + 'static,
     ) {
-        *lock_unpoisoned(&self.shard.core.delay) = Some(Box::new(hook));
-        self.shard.core.chaos_armed.store(true, Ordering::Release);
+        self.tier.inject_faults(hook);
     }
 
-    /// Remove the hooks installed by [`CausalityService::inject_fault`]
-    /// and [`CausalityService::inject_delay`].
+    /// Remove the hook installed by [`CausalityService::inject_faults`].
     pub fn clear_faults(&self) {
-        *lock_unpoisoned(&self.shard.core.fault) = None;
-        *lock_unpoisoned(&self.shard.core.delay) = None;
-        self.shard.core.chaos_armed.store(false, Ordering::Release);
+        self.tier.clear_faults();
     }
 
     /// A point-in-time view of the service counters.
     pub fn stats(&self) -> ServiceStats {
-        self.shard.core.stats.snapshot(
-            self.shard.core.cfg.workers,
-            self.store.version(),
-            self.shard.core.index_cache.len() as u64,
-        )
+        self.tier.stats().aggregate()
     }
 
     /// Like [`CausalityService::stats`], but also zeroes every monotone
@@ -194,50 +130,46 @@ impl CausalityService {
     /// live), so successive measurement phases — warmup vs timed window
     /// in the load harness — never bleed together.
     pub fn snapshot_and_reset(&self) -> ServiceStats {
-        self.shard.core.stats.snapshot_and_reset(
-            self.shard.core.cfg.workers,
-            self.store.version(),
-            self.shard.core.index_cache.len() as u64,
-        )
+        self.tier.snapshot_and_reset().aggregate()
     }
 
     /// Prometheus text exposition of the service's metrics registry
     /// (single shard, labelled `shard="0"`).
     pub fn export_metrics(&self) -> String {
-        prometheus_text(&[self.shard.core.registry.as_ref()], "causality_")
+        self.tier.export_metrics()
     }
 
     /// The same metric samples as [`CausalityService::export_metrics`],
     /// rendered as JSONL.
     pub fn export_metrics_jsonl(&self) -> String {
-        metrics_jsonl(&[self.shard.core.registry.as_ref()])
+        self.tier.export_metrics_jsonl()
     }
 
     /// The sampled traces currently retained in the ring, oldest first.
     /// Non-draining: exporting twice returns the same traces.
     pub fn recent_traces(&self) -> Vec<RequestTrace> {
-        self.shard.core.telemetry.traces()
+        self.tier.recent_traces()
     }
 
     /// [`CausalityService::recent_traces`] rendered as JSONL.
     pub fn export_traces(&self) -> String {
-        traces_jsonl(&self.recent_traces())
+        self.tier.export_traces()
     }
 
     /// The explanation slow-log: traces whose total latency or deadline
     /// slack crossed the configured thresholds.
     pub fn slow_log_records(&self) -> Vec<RequestTrace> {
-        self.shard.core.telemetry.slow_log()
+        self.tier.slow_log_records()
     }
 
     /// [`CausalityService::slow_log_records`] rendered as JSONL.
     pub fn export_slow_log(&self) -> String {
-        traces_jsonl(&self.slow_log_records())
+        self.tier.export_slow_log()
     }
 
     /// Stop accepting work, drain the queue, and join the workers.
     pub fn shutdown(self) {
-        self.shard.shutdown();
+        self.tier.shutdown();
     }
 }
 
@@ -246,6 +178,7 @@ mod tests {
     use super::*;
     use causality_engine::database::example_2_2;
     use causality_engine::{tup, ConjunctiveQuery, Schema, Value};
+    use std::sync::Arc;
 
     fn query() -> ConjunctiveQuery {
         ConjunctiveQuery::parse("q(x) :- R(x, y), S(y)").unwrap()
@@ -485,7 +418,10 @@ mod tests {
                 ..ServiceConfig::default()
             },
         );
-        svc.inject_fault(|req| req.answer == vec![Value::str("a3")]);
+        svc.inject_faults(|_, _, req| FaultAction {
+            panic: req.answer == vec![Value::str("a3")],
+            ..FaultAction::default()
+        });
         let poisoned = svc
             .explain(ExplainRequest::why_so(query(), vec![Value::str("a3")]))
             .unwrap();
@@ -511,7 +447,10 @@ mod tests {
     fn panicked_results_are_not_cached() {
         let svc = CausalityService::new(example_2_2());
         let req = ExplainRequest::why_so(query(), vec![Value::str("a4")]);
-        svc.inject_fault(|_| true);
+        svc.inject_faults(|_, _, _| FaultAction {
+            panic: true,
+            ..FaultAction::default()
+        });
         assert!(matches!(
             svc.explain(req.clone()).unwrap().result,
             Err(ServiceError::Panicked(_))
@@ -528,7 +467,7 @@ mod tests {
         let req = ExplainRequest::why_so(query(), vec![Value::str("a4")]);
         svc.explain(req.clone()).unwrap();
         // Poison resp_cache and live_snapshots by panicking mid-hold.
-        let core = Arc::clone(&svc.shard.core);
+        let core = Arc::clone(&svc.tier.shards[0].core);
         let _ = std::thread::spawn(move || {
             let _cache = core.resp_cache.lock().unwrap();
             let _live = core.live_snapshots.lock().unwrap();
@@ -536,7 +475,7 @@ mod tests {
         })
         .join();
         assert!(
-            svc.shard.core.resp_cache.lock().is_err(),
+            svc.tier.shards[0].core.resp_cache.lock().is_err(),
             "cache is poisoned"
         );
         // Serving continues: lock recovery hands back the intact state.
@@ -579,15 +518,81 @@ mod tests {
     }
 
     #[test]
-    fn try_submit_and_pending_timeout() {
+    fn submit_and_pending_timeout() {
         let svc = CausalityService::new(example_2_2());
-        let pending = svc
-            .try_submit(ExplainRequest::why_so(query(), vec![Value::str("a3")]))
-            .unwrap();
-        let resp = pending
-            .wait_timeout(std::time::Duration::from_secs(30))
+        let req = ExplainRequest::why_so(query(), vec![Value::str("a3")]);
+        let resp = svc
+            .submit(req.clone())
+            .unwrap()
+            .wait_timeout(Duration::from_secs(30))
             .unwrap();
         assert!(resp.result.is_ok());
+
+        // A stalled computation outlives a short wait: the handle times
+        // out, and the answer still arrives for a longer one.
+        svc.inject_faults(|_, _, _| FaultAction {
+            stall: Some(Duration::from_millis(100)),
+            ..FaultAction::default()
+        });
+        let fresh = ExplainRequest::why_so(query(), vec![Value::str("a4")]);
+        let pending = svc.submit(fresh.clone()).unwrap();
+        assert!(matches!(
+            pending.wait_timeout(Duration::from_millis(1)),
+            Err(ServiceError::Timeout)
+        ));
+        svc.clear_faults();
+        let served = svc
+            .submit(fresh)
+            .unwrap()
+            .wait_timeout(Duration::from_secs(30))
+            .unwrap();
+        assert!(served.result.is_ok());
+    }
+
+    #[test]
+    fn submits_past_queue_capacity_are_overloaded_not_blocked() {
+        let svc = CausalityService::with_config(
+            example_2_2(),
+            ServiceConfig {
+                workers: 1,
+                queue_capacity: 2,
+                batch_max: 1,
+                ..ServiceConfig::default()
+            },
+        );
+        // Stall every computation so submissions pile up in the queue.
+        svc.inject_faults(|_, _, _| FaultAction {
+            stall: Some(Duration::from_millis(30)),
+            ..FaultAction::default()
+        });
+        let mut accepted = Vec::new();
+        let mut rejected = 0u64;
+        for i in 0..16 {
+            // Distinct answers: no coalescing, no cache hits.
+            let answer = ["a2", "a3", "a4"][i % 3];
+            match svc.submit(ExplainRequest::why_so(query(), vec![Value::str(answer)])) {
+                Ok(pending) => accepted.push(pending),
+                Err(ServiceError::Overloaded { retry_after }) => {
+                    assert!(retry_after >= Duration::from_millis(1), "usable hint");
+                    rejected += 1;
+                }
+                Err(other) => panic!("unexpected error: {other}"),
+            }
+        }
+        assert!(rejected > 0, "16 back-to-back submits overran capacity 2");
+        let served = accepted.len() as u64;
+        for pending in accepted {
+            assert!(pending.wait().unwrap().result.is_ok());
+        }
+        let stats = svc.stats();
+        assert_eq!(stats.admission_rejects, rejected);
+        assert_eq!(stats.requests, served);
+        assert_eq!(
+            stats.latency_samples(),
+            served,
+            "every accepted one answered"
+        );
+        assert_eq!(stats.queue_depth, 0, "queue fully drained");
     }
 
     #[test]
@@ -605,8 +610,9 @@ mod tests {
         );
         // Stall the worker on a blocker request so the deadlined request
         // sits in the queue past its budget.
-        svc.inject_delay(|req| {
-            (req.answer == vec![Value::str("a2")]).then_some(Duration::from_millis(120))
+        svc.inject_faults(|_, _, req| FaultAction {
+            stall: (req.answer == vec![Value::str("a2")]).then_some(Duration::from_millis(120)),
+            ..FaultAction::default()
         });
         let blocker = svc
             .submit(ExplainRequest::why_so(query(), vec![Value::str("a2")]))

@@ -7,20 +7,20 @@
 //! tenant's relations can never evict another shard's warm caches or
 //! queue behind another shard's traffic. The layers above are thin:
 //!
-//! * [`CausalityService`](crate::CausalityService) wraps exactly one
-//!   shard with one tenant (the PR 2 API, unchanged);
 //! * [`ShardedService`](crate::ShardedService) routes tenants onto N
 //!   shards via the [`dispatch`](crate::dispatch) layer and applies
-//!   admission control and deadline budgets at the front end.
+//!   admission control and deadline budgets at the front end — the one
+//!   way into a shard;
+//! * [`CausalityService`](crate::CausalityService) is a one-shard,
+//!   one-tenant `ShardedService`.
 //!
 //! Within a shard, multiple tenants can coexist soundly because both
 //! cache layers are keyed on per-relation `(RelId, RelVersion)` content
 //! stamps and `RelVersion` stamps are **process-wide unique** (PR 3):
 //! two tenants' relations can never alias a cache entry.
 
-use crate::breaker::{BreakerConfig, BreakerRegistry};
+use crate::breaker::BreakerRegistry;
 use crate::chaos::FaultAction;
-use crate::clock::SystemClock;
 use crate::lru::LruCache;
 use crate::request::{ExplainRequest, ServiceError};
 use crate::stats::StatsCounters;
@@ -49,21 +49,14 @@ pub(crate) fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A chaos-testing predicate marking requests that must panic mid-flight.
-pub(crate) type FaultHook = Box<dyn Fn(&ExplainRequest) -> bool + Send + Sync>;
-
-/// A chaos/load-testing hook stalling matched requests for the returned
-/// duration before they compute (simulates slow computations without
-/// burning CPU).
-pub(crate) type DelayHook = Box<dyn Fn(&ExplainRequest) -> Option<Duration> + Send + Sync>;
-
-/// The PR 9 plan hook: maps a shard-local request ordinal (the position
-/// of the computation in this shard's processing order) to the combined
-/// fault action a seeded [`FaultPlan`](crate::FaultPlan) schedules for
-/// it. One hook sees one ordinal exactly once, so separate fault kinds
-/// scheduled for the same request cannot drift apart the way two
-/// independently counting hooks would.
-pub(crate) type PlanHook = Box<dyn Fn(u64) -> FaultAction + Send + Sync>;
+/// The installed fault-injection hook of one shard: maps the shard-local
+/// computation ordinal and the request to the [`FaultAction`] the worker
+/// applies before computing. Installed through
+/// [`ShardedService::inject_faults`](crate::ShardedService::inject_faults),
+/// which binds the shard index of the caller's
+/// `Fn(shard, ordinal, &ExplainRequest)` hook. One hook sees one ordinal
+/// exactly once, so every fault scheduled for a request fires on it.
+pub(crate) type ChaosHook = Box<dyn Fn(u64, &ExplainRequest) -> FaultAction + Send + Sync>;
 
 /// Identifies one tenant's snapshot store within a shard.
 pub(crate) type TenantKey = u64;
@@ -75,12 +68,14 @@ pub(crate) type TenantKey = u64;
 pub(crate) type RelFingerprint = Vec<(RelId, RelVersion)>;
 
 /// Tuning knobs of one shard (and of the single-shard
-/// [`CausalityService`](crate::CausalityService)).
+/// [`CausalityService`](crate::CausalityService), whose one shard admits
+/// up to `queue_capacity` queued requests).
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
     /// Worker threads evaluating requests.
     pub workers: usize,
-    /// Bound of the request queue; `submit` applies backpressure beyond it.
+    /// Bound of the request queue; a submit finding it full is rejected
+    /// with [`ServiceError::Overloaded`].
     pub queue_capacity: usize,
     /// Maximum requests a worker drains into one batch.
     pub batch_max: usize,
@@ -135,9 +130,7 @@ impl ServiceConfig {
 /// State shared between a shard's handle and its workers.
 pub(crate) struct ShardCore {
     pub(crate) cfg: ServiceConfig,
-    /// Queue-depth limit enforced by [`Shard::submit_admitted`];
-    /// `usize::MAX` disables admission control (the single-shard
-    /// [`CausalityService`](crate::CausalityService) compatibility mode).
+    /// Queue-depth limit enforced by [`Shard::submit_admitted`].
     pub(crate) admission_limit: usize,
     /// Snapshot stores of the tenants routed to this shard.
     pub(crate) tenants: RwLock<HashMap<TenantKey, Arc<SnapshotStore>>>,
@@ -160,39 +153,27 @@ pub(crate) struct ShardCore {
     /// versions, newest last; the union of their stamps is the index
     /// cache's live set, everything else gets evicted.
     pub(crate) live_snapshots: Mutex<HashMap<TenantKey, Vec<(u64, RelFingerprint)>>>,
-    /// Chaos-testing hook: requests matching the predicate panic inside
-    /// the worker (see [`CausalityService::inject_fault`](crate::CausalityService::inject_fault)).
-    pub(crate) fault: Mutex<Option<FaultHook>>,
-    /// Chaos/load-testing hook: requests matched by the predicate sleep
-    /// for the returned duration before computing.
-    pub(crate) delay: Mutex<Option<DelayHook>>,
-    /// Seeded chaos-plan hook (PR 9): consulted once per computation
-    /// with the shard-local ordinal; supersedes `fault`/`delay` for
-    /// schedule-driven soaks because one lookup yields the *combined*
-    /// action for the request.
-    pub(crate) plan: Mutex<Option<PlanHook>>,
-    /// Shard-local computation ordinal feeding the plan hook.
+    /// The fault-injection hook, consulted once per computation with the
+    /// next shard-local ordinal (see [`ChaosHook`]).
+    pub(crate) fault: Mutex<Option<ChaosHook>>,
+    /// Shard-local computation ordinal feeding the fault hook.
     pub(crate) ordinal: AtomicU64,
-    /// True while any of `fault`/`delay`/`plan` is installed. Workers
-    /// check this one atomic before touching the hook mutexes, so
-    /// chaos-free serving never pays for the injection points.
+    /// True while a fault hook is installed. Workers check this one
+    /// atomic before touching the hook mutex, so chaos-free serving
+    /// never pays for the injection point.
     pub(crate) chaos_armed: AtomicBool,
     /// Current run of panicking computations without an intervening
     /// completion; the supervisor quarantines past a threshold.
     pub(crate) consecutive_panics: AtomicU64,
-    /// Live health classification, written by the supervisor and read by
-    /// routing (fallback selection avoids unhealthy shards).
+    /// Live health classification, written by the supervisor.
     pub(crate) health: HealthCell,
     /// Worker-pool generation: bumped by [`Shard::restart_pool`]; a
     /// worker retires after its current batch once its spawn generation
     /// is stale.
     pub(crate) generation: AtomicU64,
-    /// The tier's per-tenant circuit breakers. Shared across every shard
-    /// of a [`ShardedService`](crate::ShardedService) (a tenant's
-    /// failures are a property of the tenant, not of the shard its
-    /// retries land on); the single-shard
-    /// [`CausalityService`](crate::CausalityService) carries a disabled
-    /// registry, keeping PR 2 semantics.
+    /// The tier's per-tenant circuit breakers, shared across every shard
+    /// of a [`ShardedService`](crate::ShardedService): a tenant's
+    /// failures are a property of the tenant, not of one shard.
     pub(crate) breakers: Arc<BreakerRegistry>,
 }
 
@@ -266,7 +247,7 @@ impl ShardCore {
     }
 
     /// Finalize the trace of a job that never made it into the queue
-    /// (admission reject, full queue, or disconnected shard), so rejected
+    /// (admission reject or disconnected shard), so rejected
     /// requests show up in the trace ring and slow-log too.
     pub(crate) fn finalize_unqueued(&self, job: Job, outcome: &'static str) {
         if let Some(mut tb) = job.trace {
@@ -353,26 +334,17 @@ pub(crate) struct Shard {
 
 impl Shard {
     /// Spawn a shard with `cfg.workers` threads. `admission_limit` is
-    /// the queue-depth bound enforced by [`Shard::submit_admitted`]
-    /// (`usize::MAX` = no admission control). `name` labels the worker
-    /// threads. `breakers` shares the tier's circuit breakers with the
-    /// workers (outcome recording); `None` installs a disabled registry
-    /// (single-shard compatibility mode).
+    /// the queue-depth bound enforced by [`Shard::submit_admitted`].
+    /// `name` labels the worker threads. `breakers` shares the tier's
+    /// circuit breakers with the workers (outcome recording).
     pub(crate) fn spawn(
         cfg: ServiceConfig,
         admission_limit: usize,
         name: &str,
-        breakers: Option<Arc<BreakerRegistry>>,
+        breakers: Arc<BreakerRegistry>,
     ) -> Self {
         let cfg = cfg.sanitized();
         let registry = Arc::new(MetricsRegistry::new());
-        let breakers = breakers.unwrap_or_else(|| {
-            Arc::new(BreakerRegistry::new(
-                BreakerConfig::disabled(),
-                Arc::new(SystemClock),
-                &registry,
-            ))
-        });
         let core = Arc::new(ShardCore {
             cfg,
             admission_limit,
@@ -384,8 +356,6 @@ impl Shard {
             index_cache: Arc::new(SharedIndexCache::new()),
             live_snapshots: Mutex::new(HashMap::new()),
             fault: Mutex::new(None),
-            delay: Mutex::new(None),
-            plan: Mutex::new(None),
             ordinal: AtomicU64::new(0),
             chaos_armed: AtomicBool::new(false),
             consecutive_panics: AtomicU64::new(0),
@@ -441,22 +411,12 @@ impl Shard {
     }
 
     /// Install (or replace) a tenant's snapshot store.
-    pub(crate) fn add_tenant(&self, tenant: TenantKey, db: Database) -> Arc<SnapshotStore> {
-        let store = Arc::new(SnapshotStore::new(db));
-        self.install_store(tenant, Arc::clone(&store));
-        store
-    }
-
-    /// Install an existing snapshot store under `tenant` — the retry
-    /// fallback path (PR 9) uses this to make a tenant servable on a
-    /// sibling shard. Sound across shards because both cache layers key
-    /// on process-wide-unique relation content stamps.
-    pub(crate) fn install_store(&self, tenant: TenantKey, store: Arc<SnapshotStore>) {
+    pub(crate) fn add_tenant(&self, tenant: TenantKey, db: Database) {
         self.core
             .tenants
             .write()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(tenant, store);
+            .insert(tenant, Arc::new(SnapshotStore::new(db)));
     }
 
     /// A clone of the queue's sender, or `None` after shutdown.
@@ -467,35 +427,21 @@ impl Shard {
             .clone()
     }
 
-    /// Enqueue blocking while the queue is full (backpressure; the PR 2
-    /// `submit` semantics). No admission control.
-    pub(crate) fn submit_blocking(&self, job: Job) -> Result<(), ServiceError> {
-        let Some(tx) = self.sender() else {
-            self.core
-                .finalize_unqueued(job, ServiceError::Disconnected.outcome_label());
-            return Err(ServiceError::Disconnected);
-        };
-        self.core.stats.queue_depth.inc();
-        match tx.send(Msg::Job(Box::new(job))) {
-            Ok(()) => {
-                self.core.stats.requests.inc();
-                Ok(())
-            }
-            Err(returned) => {
-                self.core.stats.queue_depth.dec(1);
-                let Msg::Job(job) = returned.0;
-                self.core
-                    .finalize_unqueued(*job, ServiceError::Disconnected.outcome_label());
-                Err(ServiceError::Disconnected)
-            }
+    /// Enqueue with **bounded admission**: when the shard's queue depth
+    /// has reached `admission_limit` — or the bounded channel itself is
+    /// full — the request is rejected with [`ServiceError::Overloaded`],
+    /// returned to the caller (never dropped) with a retry-after hint,
+    /// and counted in
+    /// [`ServiceStats::admission_rejects`](crate::ServiceStats::admission_rejects).
+    /// Never blocks. A rejected job's trace is finalized with the
+    /// error's outcome label.
+    pub(crate) fn submit_admitted(&self, job: Job) -> Result<(), ServiceError> {
+        let depth = self.core.stats.queue_depth.get();
+        if depth as usize >= self.core.admission_limit {
+            let err = self.overloaded();
+            self.core.finalize_unqueued(job, err.outcome_label());
+            return Err(err);
         }
-    }
-
-    /// Enqueue without blocking. On failure the channel hands the job
-    /// back, so its trace is finalized with the error's outcome label.
-    /// `remap_full` turns a full queue into the admission-control
-    /// rejection ([`ServiceError::Overloaded`], counted).
-    fn try_enqueue(&self, job: Job, remap_full: bool) -> Result<(), ServiceError> {
         let Some(tx) = self.sender() else {
             self.core
                 .finalize_unqueued(job, ServiceError::Disconnected.outcome_label());
@@ -509,53 +455,25 @@ impl Shard {
             }
             Err(e) => {
                 self.core.stats.queue_depth.dec(1);
-                let (err, returned) = match e {
-                    TrySendError::Full(msg) => {
-                        // With admission on, the channel filling between
-                        // the depth check and the send is still "past the
-                        // queue-depth limit" to a caller.
-                        let err = if remap_full {
-                            self.core.stats.admission_rejects.inc();
-                            ServiceError::Overloaded {
-                                retry_after: self.core.retry_after_hint(),
-                            }
-                        } else {
-                            ServiceError::QueueFull
-                        };
-                        (err, msg)
-                    }
+                let (err, Msg::Job(job)) = match e {
+                    // The channel filling between the depth check and the
+                    // send is still "past the queue-depth limit" to a
+                    // caller.
+                    TrySendError::Full(msg) => (self.overloaded(), msg),
                     TrySendError::Disconnected(msg) => (ServiceError::Disconnected, msg),
                 };
-                let Msg::Job(job) = returned;
                 self.core.finalize_unqueued(*job, err.outcome_label());
                 Err(err)
             }
         }
     }
 
-    /// Enqueue without blocking; [`ServiceError::QueueFull`] when the
-    /// bounded queue has no room. No admission control.
-    pub(crate) fn try_submit(&self, job: Job) -> Result<(), ServiceError> {
-        self.try_enqueue(job, false)
-    }
-
-    /// Front-end enqueue with **bounded admission**: when the shard's
-    /// queue depth has reached `admission_limit`, the request is
-    /// rejected with [`ServiceError::Overloaded`] — returned to the
-    /// caller, never dropped, and since PR 9 carrying a retry-after
-    /// hint — and counted in
-    /// [`ServiceStats::admission_rejects`](crate::ServiceStats::admission_rejects).
-    pub(crate) fn submit_admitted(&self, job: Job) -> Result<(), ServiceError> {
-        let depth = self.core.stats.queue_depth.get();
-        if depth as usize >= self.core.admission_limit {
-            self.core.stats.admission_rejects.inc();
-            let err = ServiceError::Overloaded {
-                retry_after: self.core.retry_after_hint(),
-            };
-            self.core.finalize_unqueued(job, err.outcome_label());
-            return Err(err);
+    /// Count an admission reject and build its error.
+    fn overloaded(&self) -> ServiceError {
+        self.core.stats.admission_rejects.inc();
+        ServiceError::Overloaded {
+            retry_after: self.core.retry_after_hint(),
         }
-        self.try_enqueue(job, true)
     }
 
     /// Stop accepting work, drain the queue, and join every worker

@@ -190,7 +190,8 @@ pub struct ServiceStats {
     /// Version of the currently published snapshot (highest tenant
     /// version on a multi-tenant shard).
     pub snapshot_version: u64,
-    /// Requests accepted by `submit`/`try_submit`.
+    /// Requests accepted: queued onto the shard, or answered inline by
+    /// the brownout path.
     pub requests: u64,
     /// Batches pulled off the queue by workers.
     pub batches: u64,
@@ -363,16 +364,13 @@ impl ServiceStats {
 }
 
 /// Tier-level (front-end) resilience counters (PR 9): everything the
-/// self-healing layer does *between* the shards — retries, hedges,
-/// breaker activity, brownout — rather than inside one of them. Sourced
+/// self-healing layer does *between* the shards — retries, breaker
+/// activity, brownout — rather than inside one of them. Sourced
 /// from the tier registry alongside the per-shard [`ServiceStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FrontendStats {
     /// Re-submissions after a retryable failure (excludes first attempts).
     pub retries: u64,
-    /// Hedge requests launched against a sibling shard because the first
-    /// attempt was still unanswered after `hedge_after`.
-    pub hedges: u64,
     /// Circuit-breaker trips (closed/half-open → open transitions).
     pub breaker_trips: u64,
     /// Requests shed at admission because a tenant's breaker was open.
@@ -382,9 +380,6 @@ pub struct FrontendStats {
     pub brownout_served: u64,
     /// Cumulative microseconds the tier spent in brownout mode.
     pub brownout_us: u64,
-    /// Retries re-routed to a fallback shard because the home shard was
-    /// quarantined or degraded.
-    pub reroutes: u64,
 }
 
 #[cfg(test)]

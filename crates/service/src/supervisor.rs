@@ -19,13 +19,14 @@ use std::time::Duration;
 /// Liveness classification of one shard.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum HealthState {
-    /// Serving normally; routable as a retry/hedge fallback.
+    /// Serving normally.
     Healthy = 0,
     /// Live but missing deadlines or paging through a panic burst;
-    /// still serving, but retries avoid it when possible.
+    /// still serving.
     Degraded = 1,
-    /// Presumed wedged. The supervisor restarts its worker pool and
-    /// routes retries elsewhere until re-admission probes succeed.
+    /// Presumed wedged. The supervisor restarts its worker pool on the
+    /// same queue and keeps the shard here until re-admission probes
+    /// succeed.
     Quarantined = 2,
 }
 

@@ -12,6 +12,7 @@
 //! worker-side stages (dequeue, snapshot pin, lineage, kernel solve,
 //! respond) land in the same trace the frontend started.
 
+use crate::chaos::FaultAction;
 use crate::request::{ExplainKind, ExplainRequest, ExplainResponse, ServiceError};
 use crate::shard::{lock_unpoisoned, resp_fingerprint, ShardCore, TenantKey};
 use causality_core::explain::{ExplainMode, ExplainTiming, Explainer, Explanation};
@@ -49,9 +50,23 @@ pub(crate) struct Job {
     pub trace: Option<Box<TraceBuilder>>,
 }
 
+impl Job {
+    /// Detach the request, leaving the per-waiter remainder.
+    pub(crate) fn split(self) -> (ExplainRequest, JobTail) {
+        let tail = JobTail {
+            tenant: self.tenant,
+            enqueued: self.enqueued,
+            deadline: self.deadline,
+            tx: self.tx,
+            trace: self.trace,
+        };
+        (self.request, tail)
+    }
+}
+
 /// The per-waiter remainder of a [`Job`] after coalescing detaches the
 /// shared `(tenant, request)` group key.
-struct JobTail {
+pub(crate) struct JobTail {
     tenant: TenantKey,
     enqueued: Instant,
     deadline: Option<Instant>,
@@ -89,9 +104,10 @@ pub(crate) enum Msg {
 /// Send `response` for a job accepted at `enqueued`, recording the
 /// submit→response latency, reporting the outcome to the tenant's
 /// circuit breaker, and finishing the job's trace (outcome label,
-/// respond stage, explanation attributes). A requester that dropped its
-/// handle is not an error.
-fn respond(core: &ShardCore, tail: JobTail, response: ExplainResponse) {
+/// respond stage, explanation attributes). Every answer — worker-served
+/// or served inline by the front end's brownout path — goes through
+/// here. A requester that dropped its handle is not an error.
+pub(crate) fn respond(core: &ShardCore, tail: JobTail, response: ExplainResponse) {
     if let Some(mut tb) = tail.trace {
         tb.begin(Stage::Respond);
         let outcome = match &response.result {
@@ -178,13 +194,7 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
                 core.stats.deadline_misses.inc();
                 respond(
                     core,
-                    JobTail {
-                        tenant: job.tenant,
-                        enqueued: job.enqueued,
-                        deadline: job.deadline,
-                        tx: job.tx,
-                        trace: job.trace,
-                    },
+                    job.split().1,
                     ExplainResponse {
                         result: Err(ServiceError::DeadlineExceeded),
                         snapshot_version: 0,
@@ -202,19 +212,13 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
     let mut order: Vec<(TenantKey, ExplainRequest)> = Vec::new();
     let mut groups: HashMap<(TenantKey, ExplainRequest), Vec<JobTail>> = HashMap::new();
     for job in live {
-        let tenant = job.tenant;
-        let key = (job.tenant, job.request);
+        let (request, tail) = job.split();
+        let key = (tail.tenant, request);
         let entry = groups.entry(key.clone()).or_default();
         if entry.is_empty() {
             order.push(key);
         }
-        entry.push(JobTail {
-            tenant,
-            enqueued: job.enqueued,
-            deadline: job.deadline,
-            tx: job.tx,
-            trace: job.trace,
-        });
+        entry.push(tail);
     }
 
     for (tenant, request) in order {
@@ -357,44 +361,11 @@ fn compute_isolated(
     request: &ExplainRequest,
     deadline: Option<Instant>,
 ) -> Result<(Explanation, ExplainTiming), ServiceError> {
-    // Production fast path: with no chaos hooks armed, serving skips the
-    // three hook mutexes entirely — one relaxed atomic load per
-    // computation instead of three lock round-trips on a single core.
-    let armed = core.chaos_armed.load(Ordering::Acquire);
-    // The plan hook (PR 9) is consulted exactly once per computation,
-    // with a single ordinal draw, so every fault kind a seeded plan
-    // schedules for this request fires on this request.
-    let action = if armed {
-        let plan = lock_unpoisoned(&core.plan);
-        plan.as_ref()
-            .map(|hook| hook(core.ordinal.fetch_add(1, Ordering::Relaxed)))
-            .unwrap_or_default()
-    } else {
-        Default::default()
-    };
     let guarded = catch_unwind(AssertUnwindSafe(|| {
-        if armed {
-            // Evaluate the chaos hooks before panicking so their locks
-            // are released by the time an unwind starts.
-            let stall = lock_unpoisoned(&core.delay)
-                .as_ref()
-                .and_then(|hook| hook(request));
-            if let Some(stall) = stall.into_iter().chain(action.stall).max() {
-                std::thread::sleep(stall);
-            }
-            if action.poison {
-                // Poison the responsibility-cache mutex for real: panic
-                // with the guard held. Serving recovers via
-                // `lock_unpoisoned`.
-                let _guard = lock_unpoisoned(&core.resp_cache);
-                panic!("cache lock poisoned by fault plan");
-            }
-            let inject = lock_unpoisoned(&core.fault)
-                .as_ref()
-                .is_some_and(|hook| hook(request));
-            if inject || action.panic {
-                panic!("fault injected by chaos hook");
-            }
+        // Production fast path: with no fault hook armed, serving skips
+        // the hook mutex entirely — one atomic load per computation.
+        if core.chaos_armed.load(Ordering::Acquire) {
+            inject_faults(core, request);
         }
         compute(core, snapshot, index_cache, request, deadline)
     }));
@@ -408,6 +379,30 @@ fn compute_isolated(
             core.consecutive_panics.fetch_add(1, Ordering::Relaxed);
             Err(ServiceError::Panicked(panic_message(payload.as_ref())))
         }
+    }
+}
+
+/// Draw the next shard-local ordinal, ask the fault hook for the
+/// computation's [`FaultAction`] (exactly once, so every fault scheduled
+/// for this request fires on it), and apply it: stall, then poison or
+/// panic. Runs inside [`compute_isolated`]'s panic boundary; the hook
+/// mutex is released before any injected panic unwinds.
+fn inject_faults(core: &ShardCore, request: &ExplainRequest) {
+    let action: FaultAction = lock_unpoisoned(&core.fault)
+        .as_ref()
+        .map(|hook| hook(core.ordinal.fetch_add(1, Ordering::Relaxed), request))
+        .unwrap_or_default();
+    if let Some(stall) = action.stall {
+        std::thread::sleep(stall);
+    }
+    if action.poison {
+        // Poison the responsibility-cache mutex for real: panic with the
+        // guard held. Serving recovers via `lock_unpoisoned`.
+        let _guard = lock_unpoisoned(&core.resp_cache);
+        panic!("cache lock poisoned by fault plan");
+    }
+    if action.panic {
+        panic!("fault injected by chaos hook");
     }
 }
 

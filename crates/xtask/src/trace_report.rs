@@ -35,10 +35,9 @@ pub const STAGES: [&str; 10] = [
 
 const KINDS: [&str; 3] = ["why_so", "why_no", "rank_top_k"];
 
-const OUTCOMES: [&str; 10] = [
+const OUTCOMES: [&str; 9] = [
     "ok",
     "disconnected",
-    "queue_full",
     "overloaded",
     "circuit_open",
     "deadline_exceeded",

@@ -82,7 +82,10 @@ fn main() {
     // --- 2b. Failure isolation: a panicking job costs one response. ----
     // Chaos hook: the next Why-No request panics inside its worker; the
     // pool catches it, answers with an error, and keeps serving.
-    svc.inject_fault(|req| matches!(req.kind, ExplainKind::WhyNo));
+    svc.inject_faults(|_, _, req| FaultAction {
+        panic: matches!(req.kind, ExplainKind::WhyNo),
+        ..FaultAction::default()
+    });
     let blast = svc
         .explain(ExplainRequest::why_no(query.clone(), musical.clone()))
         .unwrap();
@@ -163,7 +166,10 @@ fn main() {
         .expect("single-atom query explains");
 
     let hard = ConjunctiveQuery::parse("h2 :- R(x, y), S(y, z), T(z, x)").unwrap();
-    obs.inject_delay(|_| Some(Duration::from_millis(20)));
+    obs.inject_faults(|_, _, _| FaultAction {
+        stall: Some(Duration::from_millis(20)),
+        ..FaultAction::default()
+    });
     obs.explain(ExplainRequest::why_so(hard, vec![]))
         .unwrap()
         .result

@@ -18,7 +18,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`engine`] | relational storage, conjunctive queries, valuations, counterfactual masks |
-//! | [`lineage`] | DNF lineage, n-lineage, why-provenance, provenance semirings |
+//! | [`lineage`] | DNF lineage, n-lineage, why-provenance |
 //! | [`datalog`] | stratified Datalog with negation + SQL rendering (Theorem 3.4's target language) |
 //! | [`graph`] | max-flow (Edmonds–Karp, Dinic), hypergraphs, consecutive-ones, vertex-cover oracles |
 //! | [`core`] | causes (Thm. 3.2), FO cause programs (Thm. 3.4), responsibility (Algorithm 1, exact, Why-No), the dichotomy classifier (Cor. 4.14) |
@@ -82,9 +82,9 @@ pub mod prelude {
     pub use causality_lineage::{lineage, n_lineage};
     pub use causality_service::{
         BreakerConfig, BreakerState, CausalityService, Clock, ExplainKind, ExplainRequest,
-        ExplainResponse, FaultKind, FaultPlan, FrontendStats, HealthState, ManualClock,
-        RetryPolicy, ServiceConfig, ServiceError, ServiceStats, ShardedService, SupervisorConfig,
-        SystemClock, TenantId, TierConfig, TierStats,
+        ExplainResponse, FaultAction, FaultKind, FaultPlan, FrontendStats, HealthState,
+        ManualClock, RetryPolicy, ServiceConfig, ServiceError, ServiceStats, ShardedService,
+        SupervisorConfig, SystemClock, TenantId, TierConfig, TierStats,
     };
     pub use causality_telemetry::{RequestTrace, Stage, TelemetryConfig};
 }

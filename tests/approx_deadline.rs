@@ -107,9 +107,12 @@ fn expired_deadline_still_yields_sound_greedy_bounds() {
         // budget expires before it is even dequeued.
         let blocker_query = ConjunctiveQuery::parse("blocker :- R(x, y)").unwrap();
         let blocker_req = ExplainRequest::why_so(blocker_query, vec![]);
-        svc.inject_delay({
+        svc.inject_faults({
             let marker = blocker_req.clone();
-            move |req| (*req == marker).then_some(Duration::from_millis(120))
+            move |_, _, req| FaultAction {
+                stall: (*req == marker).then_some(Duration::from_millis(120)),
+                ..FaultAction::default()
+            }
         });
 
         let blocker = svc.submit(blocker_req).unwrap();

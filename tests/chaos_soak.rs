@@ -89,7 +89,6 @@ fn seeded_chaos_soak_heals_with_zero_silent_drops() {
                     base: Duration::from_millis(1),
                     cap: Duration::from_millis(40),
                     jitter_seed: SEED,
-                    hedge_after: Some(Duration::from_millis(15)),
                 },
                 breaker: BreakerConfig {
                     failure_threshold: 4,
@@ -143,7 +142,10 @@ fn seeded_chaos_soak_heals_with_zero_silent_drops() {
             FaultPlan::generate(SEED, SHARDS, HORIZON).render(),
             "the plan itself replays bit-identically"
         );
-        tier.install_fault_plan(&plan);
+        tier.inject_faults({
+            let plan = plan.clone();
+            move |shard, ordinal, _| plan.action_for(shard, ordinal)
+        });
         install_quiet_panic_hook();
 
         let mut events: Vec<_> = plan.harness_events().copied().collect();

@@ -68,7 +68,10 @@ fn pool_survives_panicking_requests() {
         ));
         // Chaos hook: every request for the marker answer panics inside
         // the worker that computes it.
-        svc.inject_fault(|req| req.answer == vec![Value::str("a3")]);
+        svc.inject_faults(|_, _, req| FaultAction {
+            panic: req.answer == vec![Value::str("a3")],
+            ..FaultAction::default()
+        });
 
         // Twice as many panicking jobs as workers: without isolation the
         // whole pool would be dead after the first wave. Distinct `k`s
@@ -129,7 +132,10 @@ fn pool_survives_panicking_requests() {
 
         // A panicking job mixed into a batch with healthy ones only
         // takes down its own response.
-        svc.inject_fault(|req| req.answer == vec![Value::str("a3")]);
+        svc.inject_faults(|_, _, req| FaultAction {
+            panic: req.answer == vec![Value::str("a3")],
+            ..FaultAction::default()
+        });
         let mixed: Vec<_> = ["a2", "a3", "a4", "a2"]
             .iter()
             .map(|a| {

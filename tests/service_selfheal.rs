@@ -103,8 +103,9 @@ fn supervisor_restarts_a_wedged_shard_without_losing_requests() {
 
         // The blocker wedges the only worker for 100ms; the victim sits
         // in the queue with zero completions — the stall signature.
-        tier.inject_delay(|req| {
-            (req.answer == vec![Value::str("a2")]).then_some(Duration::from_millis(100))
+        tier.inject_faults(|_, _, req| FaultAction {
+            stall: (req.answer == vec![Value::str("a2")]).then_some(Duration::from_millis(100)),
+            ..FaultAction::default()
         });
         let blocker = tier
             .submit(
@@ -181,8 +182,9 @@ fn brownout_serves_certified_answers_inline_and_recovers() {
 
         // Pile three stalled blockers onto the single worker so the
         // tier-wide queue depth crosses the high-water mark of 2.
-        tier.inject_delay(|req| {
-            (req.answer == vec![Value::str("a2")]).then_some(Duration::from_millis(40))
+        tier.inject_faults(|_, _, req| FaultAction {
+            stall: (req.answer == vec![Value::str("a2")]).then_some(Duration::from_millis(40)),
+            ..FaultAction::default()
         });
         let easy_req = ExplainRequest::why_so(query(), vec![Value::str("a2")]);
         let blockers: Vec<_> = (0..3)
@@ -229,6 +231,15 @@ fn brownout_serves_certified_answers_inline_and_recovers() {
             "only the browned-out request degraded"
         );
         assert!(fe.brownout_us > 0, "the brownout window was accounted");
+
+        // One accounting path: the inline brownout answer is counted
+        // like every worker answer — three blockers, the brownout answer,
+        // and the recovered request each leave a latency sample, a
+        // request count, and a trace.
+        let stats = tier.stats().aggregate();
+        assert_eq!(stats.latency_samples(), 5, "every answer is a sample");
+        assert_eq!(stats.requests, 5, "every answer was an accepted request");
+        assert_eq!(tier.recent_traces().len(), 5, "every answer is traced");
         tier.shutdown();
     });
 }
@@ -263,7 +274,10 @@ fn circuit_breaker_trips_and_recovers_on_an_injected_clock() {
         let req = ExplainRequest::why_so(query(), vec![Value::str("a2")]);
 
         // Three panicking requests in a row: threshold reached, open.
-        tier.inject_fault(|_| true);
+        tier.inject_faults(|_, _, _| FaultAction {
+            panic: true,
+            ..FaultAction::default()
+        });
         for _ in 0..3 {
             let resp = tier.explain(tenant, req.clone()).unwrap();
             assert!(matches!(resp.result, Err(ServiceError::Panicked(_))));

@@ -180,7 +180,10 @@ fn admission_rejects_are_returned_not_dropped() {
             ..TierConfig::default()
         });
         let tenant = tier.add_tenant("hot", seed_database()).unwrap();
-        tier.inject_delay(|_| Some(Duration::from_millis(25)));
+        tier.inject_faults(|_, _, _| FaultAction {
+            stall: Some(Duration::from_millis(25)),
+            ..FaultAction::default()
+        });
 
         let req = ExplainRequest::why_so(query(), vec![Value::str("a2")]);
         let mut accepted = Vec::new();
@@ -228,8 +231,9 @@ fn expired_deadline_is_an_error_not_a_computation() {
             ..TierConfig::default()
         });
         let tenant = tier.add_tenant("t", seed_database()).unwrap();
-        tier.inject_delay(|req| {
-            (req.answer == vec![Value::str("a2")]).then_some(Duration::from_millis(150))
+        tier.inject_faults(|_, _, req| FaultAction {
+            stall: (req.answer == vec![Value::str("a2")]).then_some(Duration::from_millis(150)),
+            ..FaultAction::default()
         });
 
         let blocker = tier
@@ -291,9 +295,12 @@ fn panicking_one_shard_leaves_the_others_serving() {
 
         // Fault hook matches on a marker only the victim's requests use.
         let poisoned = ExplainRequest::why_so(query(), vec![Value::str("a4")]);
-        tier.inject_fault({
+        tier.inject_faults({
             let marker = poisoned.clone();
-            move |req| *req == marker
+            move |_, _, req| FaultAction {
+                panic: *req == marker,
+                ..FaultAction::default()
+            }
         });
 
         let pending: Vec<_> = (0..8)

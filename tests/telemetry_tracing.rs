@@ -239,7 +239,10 @@ fn rejected_requests_finish_their_traces() {
         ..TierConfig::default()
     });
     let t = tier.add_tenant("hot", example_2_2()).unwrap();
-    tier.inject_delay(|_| Some(Duration::from_millis(50)));
+    tier.inject_faults(|_, _, _| FaultAction {
+        stall: Some(Duration::from_millis(50)),
+        ..FaultAction::default()
+    });
     let req = ExplainRequest::why_so(query(), vec![Value::str("a2")]);
     let mut accepted = Vec::new();
     let mut rejected = 0u64;
