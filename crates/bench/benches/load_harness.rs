@@ -38,9 +38,11 @@
 //!    `explain_with_retry`: every submission must come back as an
 //!    answer or a retryable reject carrying a retry-after hint (zero
 //!    silent drops), the wedged shard must be quarantined and restarted
-//!    by the supervisor, and the tier must converge back to `Healthy`;
-//!    the time that convergence takes is recorded as
-//!    `chaos_recovery_ms`.
+//!    by the supervisor, and the tier must converge back to `Healthy`.
+//!    Shard health is polled on every soak iteration and throughout
+//!    every wait, and the latest incident's length — from the first poll that saw a shard leave
+//!    `Healthy` to the first poll that saw all of them back — is
+//!    recorded as `chaos_recovery_ms`.
 //!
 //! The timed replays run with **full trace sampling on** (ring of 128
 //! per shard), so the throughput numbers the bench gate compares across
@@ -111,7 +113,6 @@ fn build_tier(
     let tier = ShardedService::new(TierConfig {
         shards,
         admission_limit: workload.ops.len().max(64),
-        default_deadline: None,
         shard: ServiceConfig {
             workers,
             queue_capacity: workload.ops.len().max(64),
@@ -281,7 +282,6 @@ fn assert_slow_log_outlier(workload: &TenantWorkload) -> String {
     let tier = ShardedService::new(TierConfig {
         shards: 1,
         admission_limit: 64,
-        default_deadline: None,
         shard: ServiceConfig {
             workers: 1,
             telemetry: TelemetryConfig {
@@ -378,7 +378,6 @@ fn measure_hard_mix(workload: &TenantWorkload, quick: bool) -> HardMixNumbers {
     let tier = ShardedService::new(TierConfig {
         shards: 2,
         admission_limit: 4 * rounds as usize,
-        default_deadline: None,
         shard: ServiceConfig {
             workers: 1,
             queue_capacity: 4 * rounds as usize,
@@ -460,7 +459,7 @@ fn measure_hard_mix(workload: &TenantWorkload, quick: bool) -> HardMixNumbers {
 /// reject — is asserted inside the phase; these are the recovery
 /// numbers the manifest records.
 struct ChaosNumbers {
-    recovery_ms: u64,
+    recovery_ms: f64,
     submitted: u64,
     answered: u64,
     approx: u64,
@@ -472,6 +471,47 @@ struct ChaosNumbers {
     quarantines: u64,
     panics: u64,
     fault_events: usize,
+}
+
+/// Health-poll period while the chaos soak waits: a fraction of its
+/// supervisor tick, so an incident is timed to well under a tick.
+const HEALTH_POLL: Duration = Duration::from_micros(200);
+
+/// Unhealthy stretches of a tier, seen through periodic health polls.
+#[derive(Default)]
+struct Incidents {
+    /// When the open incident began: the first poll that saw a shard
+    /// leave `Healthy`.
+    open: Option<Instant>,
+    /// Length of the latest closed incident, up to the first poll that
+    /// saw every shard `Healthy` again.
+    last: Option<Duration>,
+}
+
+impl Incidents {
+    /// Record one poll; returns whether the tier is healthy with no
+    /// incident open.
+    fn poll(&mut self, all_healthy: bool) -> bool {
+        match (self.open, all_healthy) {
+            (None, false) => self.open = Some(Instant::now()),
+            (Some(start), true) => {
+                self.last = Some(start.elapsed());
+                self.open = None;
+            }
+            _ => {}
+        }
+        all_healthy
+    }
+
+    /// Sleep for `wait`, polling every [`HEALTH_POLL`], so an incident
+    /// that begins and ends inside the wait is still seen and timed.
+    fn poll_while_sleeping(&mut self, all_healthy: impl Fn() -> bool, wait: Duration) {
+        let end = Instant::now() + wait;
+        while Instant::now() < end {
+            self.poll(all_healthy());
+            std::thread::sleep(HEALTH_POLL);
+        }
+    }
 }
 
 /// Chaos soak: replay a seeded [`FaultPlan`] against a two-shard tier
@@ -499,7 +539,6 @@ fn chaos_soak(workload: &TenantWorkload, seed: u64, quick: bool) -> ChaosNumbers
         TierConfig {
             shards: SHARDS,
             admission_limit: 32,
-            default_deadline: None,
             retry: RetryPolicy {
                 max_attempts: 2,
                 base: Duration::from_millis(1),
@@ -525,7 +564,6 @@ fn chaos_soak(workload: &TenantWorkload, seed: u64, quick: bool) -> ChaosNumbers
                 queue_capacity: 64,
                 ..ServiceConfig::default()
             },
-            ..TierConfig::default()
         },
         clock.clone(),
     );
@@ -583,6 +621,8 @@ fn chaos_soak(workload: &TenantWorkload, seed: u64, quick: bool) -> ChaosNumbers
         }
     }));
 
+    let all_healthy = || (0..SHARDS).all(|s| tier.shard_health(s) == Some(HealthState::Healthy));
+    let mut incidents = Incidents::default();
     let mut events: Vec<_> = plan.harness_events().copied().collect();
     let mut burst_handles: Vec<PendingExplain> = Vec::new();
     let mut submitted = 0u64;
@@ -631,8 +671,9 @@ fn chaos_soak(workload: &TenantWorkload, seed: u64, quick: bool) -> ChaosNumbers
             // can half-open, and give the supervisor a few wall-clock
             // ticks to observe the streak while it is still live.
             clock.advance(open_for);
-            std::thread::sleep(3 * tick);
+            incidents.poll_while_sleeping(all_healthy, 3 * tick);
         }
+        incidents.poll(all_healthy());
         let progressed: Vec<u64> = (0..SHARDS).map(|s| tier.shard_progress(s)).collect();
         events.retain(|e| {
             if progressed[e.shard] < e.at_ordinal {
@@ -689,19 +730,22 @@ fn chaos_soak(workload: &TenantWorkload, seed: u64, quick: bool) -> ChaosNumbers
     );
 
     // Convergence: with the plan cleared, every shard must probe back to
-    // Healthy. The time that takes is the headline recovery number.
+    // Healthy. The latest incident's length is the headline recovery
+    // number.
     tier.clear_faults();
     let drain_start = Instant::now();
-    let recovery_ms = loop {
-        if (0..SHARDS).all(|s| tier.shard_health(s) == Some(HealthState::Healthy)) {
-            break drain_start.elapsed().as_millis().max(1) as u64;
-        }
+    while !incidents.poll(all_healthy()) {
         assert!(
             drain_start.elapsed() < Duration::from_secs(10),
             "tier failed to return to Healthy after the faults stopped"
         );
-        std::thread::sleep(tick);
-    };
+        std::thread::sleep(HEALTH_POLL);
+    }
+    let recovery_ms = incidents
+        .last
+        .expect("the soak observed at least one shard leave Healthy")
+        .as_secs_f64()
+        * 1e3;
 
     let stats = tier.stats();
     let agg = stats.aggregate();
@@ -818,7 +862,6 @@ fn assert_admission_control(workload: &TenantWorkload) {
     let tier = ShardedService::new(TierConfig {
         shards: 1,
         admission_limit: 4,
-        default_deadline: None,
         shard: ServiceConfig {
             workers: 1,
             batch_max: 1,
@@ -937,7 +980,7 @@ fn write_manifest(
     );
     manifest.push(
         "chaos_recovery_ms",
-        chaos.recovery_ms as f64,
+        chaos.recovery_ms,
         "ms",
         Direction::LowerIsBetter,
     );
@@ -1002,7 +1045,7 @@ fn main() {
     println!(
         "chaos soak   : {} faults, {} submissions → {} answered + {} retryable rejects (0 lost), \
          {} retries, {} breaker trips, {} restarts, {} quarantines, \
-         recovered in {} ms",
+         recovered in {:.1} ms",
         chaos.fault_events,
         chaos.submitted,
         chaos.answered,

@@ -2,20 +2,24 @@
 //! per-request deadline budgets, tenant-routed dispatch over N
 //! independent [`shard`](crate::shard)s — and, since PR 9, the tier's
 //! self-healing machinery (supervision, retries, circuit breakers, and
-//! brownout degradation).
+//! degradation by deadline).
 //!
 //! ```text
 //!        submit(tenant, request [, deadline budget])
 //!                        │
 //!              ┌─────────▼─────────┐
-//!              │     front end     │  validate · breaker admit ·
-//!              │                   │  brownout check · deadline stamp ·
+//!              │     front end     │  validate + ground · breaker admit ·
+//!              │                   │  deadline stamp · classify once
+//!              │                   │  (deadline-bound jobs only) ·
 //!              │                   │  admission (queue depth < limit,
 //!              │                   │  else ServiceError::Overloaded)
 //!              └─────────┬─────────┘
 //!              ┌─────────▼─────────┐     ┌──────────────┐
 //!              │     dispatch      │◀────│  supervisor  │ health ticks,
 //!              └──┬───────┬───────┬┘     └──────────────┘ pool restarts
+//!                 │       │       │  routable job, predicted queue wait
+//!                 │       │       │  > budget: the worker's one-job path,
+//!                 │       │       │  inline on the caller's thread
 //!            ┌────▼──┐ ┌──▼────┐ ┌▼──────┐
 //!            │shard 0│ │shard 1│ │shard N│   each: snapshot stores,
 //!            │       │ │       │ │       │   worker pool, index cache,
@@ -37,20 +41,18 @@ use crate::clock::{Clock, SystemClock};
 use crate::dispatch::{Dispatcher, TenantId};
 use crate::request::{ExplainRequest, ExplainResponse, PendingExplain, ServiceError};
 use crate::retry::{backoff, JitterRng, RetryPolicy};
-use crate::shard::{lock_unpoisoned, validate, ServiceConfig, Shard, ShardCore, TenantKey};
+use crate::shard::{lock_unpoisoned, validate, ServiceConfig, Shard};
 use crate::stats::{FrontendStats, ServiceStats};
 use crate::supervisor::{
     assess, HealthState, ShardSignals, ShardTracker, SupervisorConfig, Verdict,
 };
-use crate::worker::{anytime_routable, respond, Job};
-use causality_core::explain::Explainer;
-use causality_core::resp::approx::ApproxBudget;
+use crate::worker::{anytime_routable, process_batch, Job};
 use causality_engine::{Database, Snapshot};
 use causality_telemetry::{
     metrics_jsonl, prometheus_text, traces_jsonl, Counter, MetricsRegistry, RequestTrace, Stage,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -67,9 +69,6 @@ pub struct TierConfig {
     /// admission keeps tail latency flat when an open-loop client
     /// outruns the tier.
     pub admission_limit: usize,
-    /// Deadline budget stamped on every request submitted without an
-    /// explicit one ([`None`] = no deadline).
-    pub default_deadline: Option<Duration>,
     /// Retry/backoff policy used by
     /// [`ShardedService::explain_with_retry`]. Plain
     /// [`ShardedService::submit`]/[`ShardedService::explain`] never
@@ -81,16 +80,6 @@ pub struct TierConfig {
     /// Supervision-loop thresholds; `supervisor.tick == 0` disables the
     /// background health thread entirely.
     pub supervisor: SupervisorConfig,
-    /// Tier-wide queued-request count at (or above) which the tier
-    /// enters **brownout**: routable NP-hard requests are served inline
-    /// with the zero-budget greedy bracket instead of queueing — a
-    /// certified (if coarse) answer, never [`ServiceError::Overloaded`].
-    /// `usize::MAX` (the default) disables brownout.
-    pub brownout_high_water: usize,
-    /// Tier-wide queued-request count at (or below) which an active
-    /// brownout ends. Must sit below `brownout_high_water`; the gap is
-    /// the hysteresis band that keeps the mode from flapping.
-    pub brownout_low_water: usize,
     /// Per-shard tuning (worker count, queue bound, batch size, caches).
     pub shard: ServiceConfig,
 }
@@ -101,12 +90,9 @@ impl Default for TierConfig {
         TierConfig {
             shards: 4,
             admission_limit: shard.queue_capacity,
-            default_deadline: None,
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
             supervisor: SupervisorConfig::default(),
-            brownout_high_water: usize::MAX,
-            brownout_low_water: 0,
             shard,
         }
     }
@@ -117,8 +103,8 @@ impl Default for TierConfig {
 pub struct TierStats {
     /// One [`ServiceStats`] per shard, indexed by shard number.
     pub shards: Vec<ServiceStats>,
-    /// Tier-level resilience counters (retries, breaker and brownout
-    /// activity) that live in the front end, not in any shard.
+    /// Tier-level resilience counters (retries, breaker activity,
+    /// inline answers) that live in the front end, not in any shard.
     pub frontend: FrontendStats,
 }
 
@@ -142,7 +128,6 @@ impl TierStats {
 struct FrontendCounters {
     retries: Arc<Counter>,
     brownout_served: Arc<Counter>,
-    brownout_us: Arc<Counter>,
 }
 
 impl FrontendCounters {
@@ -150,7 +135,6 @@ impl FrontendCounters {
         FrontendCounters {
             retries: registry.counter("frontend_retries_total"),
             brownout_served: registry.counter("brownout_served_total"),
-            brownout_us: registry.counter("brownout_us_total"),
         }
     }
 }
@@ -181,8 +165,6 @@ pub struct ShardedService {
     breakers: Arc<BreakerRegistry>,
     tier_registry: Arc<MetricsRegistry>,
     fe: FrontendCounters,
-    brownout: AtomicBool,
-    brownout_entered: Mutex<Option<Instant>>,
     supervisor: Option<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
 }
@@ -227,8 +209,6 @@ impl ShardedService {
             breakers,
             fe: FrontendCounters::new(&tier_registry),
             tier_registry,
-            brownout: AtomicBool::new(false),
-            brownout_entered: Mutex::new(None),
             supervisor,
             stop,
         }
@@ -266,7 +246,8 @@ impl ShardedService {
         self.shards.get(shard).map(|s| s.core.health.get())
     }
 
-    /// Submit through admission control with the tier's default deadline.
+    /// Submit through admission control, without a deadline: the
+    /// request is promised an exact answer, however long it queues.
     ///
     /// Never blocks: past the shard's queue-depth limit the request is
     /// rejected with [`ServiceError::Overloaded`] (and counted), which
@@ -279,12 +260,16 @@ impl ShardedService {
         tenant: TenantId,
         request: ExplainRequest,
     ) -> Result<PendingExplain, ServiceError> {
-        self.submit_routed(tenant, request, self.cfg.default_deadline, None)
+        self.submit_routed(tenant, request, None, None)
     }
 
-    /// Submit with an explicit per-request deadline budget: if the
-    /// budget expires before a worker starts the job, it resolves to
+    /// Submit with a per-request deadline budget. A PTIME job whose
+    /// budget expires before a worker starts it resolves to
     /// [`ServiceError::DeadlineExceeded`] instead of occupying a worker.
+    /// An NP-hard Why-So job takes the anytime route and spends the
+    /// budget on certified bounds; if its shard's predicted queue wait
+    /// already exceeds the budget, it is answered inline on the calling
+    /// thread instead of queueing.
     pub fn submit_with_deadline(
         &self,
         tenant: TenantId,
@@ -296,8 +281,9 @@ impl ShardedService {
 
     /// The one submission path every entry point funnels through:
     /// validation, breaker admission, trace start (with the PR 9 `retry`
-    /// span when this is a backed-off retry), then either the brownout
-    /// answer or the admitted enqueue onto the tenant's home shard.
+    /// span when this is a backed-off retry), the route decision, then
+    /// either the inline answer or the admitted enqueue onto the
+    /// tenant's home shard.
     fn submit_routed(
         &self,
         tenant: TenantId,
@@ -305,7 +291,7 @@ impl ShardedService {
         deadline: Option<Duration>,
         retry_span: Option<(Instant, Duration)>,
     ) -> Result<PendingExplain, ServiceError> {
-        validate(&request)?;
+        let grounded = validate(&request)?;
         let shard = self
             .shards
             .get(tenant.shard())
@@ -335,109 +321,43 @@ impl ShardedService {
             }
             tb.begin(Stage::Dispatch);
         }
+        // Classify once, at admission: only a deadline-bound job can take
+        // the anytime route, so deadline-free traffic never pays for the
+        // classifier, and every later stage reads the flag.
+        let routable = deadline.is_some() && anytime_routable(&request, &grounded);
+        // Degrade by deadline: a routable job whose budget is shorter
+        // than its shard's predicted queue wait is answered inline, on
+        // this thread, by the worker's own one-job path.
+        let inline =
+            routable && deadline.is_some_and(|budget| shard.core.predicted_wait() > budget);
         let (tx, rx) = mpsc::channel();
         let enqueued = Instant::now();
         let mut job = Job {
             tenant: tenant.key(),
             request,
             deadline: deadline.map(|budget| enqueued + budget),
+            routable,
             enqueued,
             tx,
             trace: None,
         };
-        // Brownout: with the tier past its high-water mark, a routable
-        // NP-hard request takes the certified zero-budget bracket inline
-        // instead of joining a backlogged queue. Its answer is accounted
-        // like a worker's: latency histogram, breaker record, trace.
-        let browned_out = self.brownout_active() && anytime_routable(&job.request);
         if let Some(tb) = trace.as_deref_mut() {
             if let Some(deadline) = job.deadline {
                 tb.set_deadline(deadline);
             }
-            tb.begin(if browned_out {
-                Stage::KernelSolve
-            } else {
-                Stage::ShardQueue
-            });
+            if !inline {
+                tb.begin(Stage::ShardQueue);
+            }
         }
         job.trace = trace;
-        if browned_out {
+        if inline {
             shard.core.stats.requests.inc();
-            let (request, tail) = job.split();
-            let response = self.brownout_response(&shard.core, tenant.key(), &request);
-            respond(&shard.core, tail, response);
+            self.fe.brownout_served.inc();
+            process_batch(&shard.core, vec![job]);
         } else {
             shard.submit_admitted(job)?;
         }
         Ok(PendingExplain { rx })
-    }
-
-    /// Update and read the brownout state from the tier-wide queued
-    /// total, with hysteresis: enter at `high_water`, leave at
-    /// `low_water`. Time spent in the mode accrues to the
-    /// `brownout_us_total` counter on exit.
-    fn brownout_active(&self) -> bool {
-        // Brownout off (the default): skip the per-submit gauge sweep.
-        if self.cfg.brownout_high_water == usize::MAX {
-            return false;
-        }
-        let depth: u64 = self
-            .shards
-            .iter()
-            .map(|shard| shard.core.stats.queue_depth.get())
-            .sum();
-        let active = self.brownout.load(Ordering::Relaxed);
-        if active && depth as usize <= self.cfg.brownout_low_water {
-            self.brownout.store(false, Ordering::Relaxed);
-            if let Some(entered) = lock_unpoisoned(&self.brownout_entered).take() {
-                self.fe
-                    .brownout_us
-                    .add(entered.elapsed().as_micros() as u64);
-            }
-            return false;
-        }
-        if !active && depth as usize >= self.cfg.brownout_high_water {
-            self.brownout.store(true, Ordering::Relaxed);
-            *lock_unpoisoned(&self.brownout_entered) = Some(Instant::now());
-            return true;
-        }
-        active
-    }
-
-    /// Serve a routable request inline on the caller's thread with the
-    /// zero-budget anytime bracket — the brownout degradation path.
-    fn brownout_response(
-        &self,
-        core: &ShardCore,
-        tenant: TenantKey,
-        request: &ExplainRequest,
-    ) -> ExplainResponse {
-        let Some(store) = core.store(tenant) else {
-            return ExplainResponse {
-                result: Err(ServiceError::InvalidRequest(
-                    "unknown tenant for this shard".to_string(),
-                )),
-                snapshot_version: 0,
-                cache_hit: false,
-            };
-        };
-        let snapshot = store.current();
-        let index_cache = core.index_cache_for(tenant, &snapshot);
-        let explainer = Explainer::new(snapshot.database(), &request.query)
-            .with_method(request.method)
-            .with_index_cache(index_cache);
-        let result = explainer
-            .why_anytime(&request.answer, ApproxBudget::zero())
-            .map(|(explanation, _timing)| explanation)
-            .map_err(ServiceError::from);
-        if result.is_ok() {
-            self.fe.brownout_served.inc();
-        }
-        ExplainResponse {
-            result,
-            snapshot_version: snapshot.version(),
-            cache_hit: false,
-        }
     }
 
     /// Submit and wait: the blocking convenience call. Single-shot — see
@@ -470,12 +390,7 @@ impl ShardedService {
         loop {
             attempt += 1;
             let outcome = self
-                .submit_routed(
-                    tenant,
-                    request.clone(),
-                    self.cfg.default_deadline,
-                    retry_span.take(),
-                )
+                .submit_routed(tenant, request.clone(), None, retry_span.take())
                 .and_then(PendingExplain::wait);
             let err = match outcome {
                 Ok(response) => match &response.result {
@@ -570,18 +485,11 @@ impl ShardedService {
     }
 
     fn frontend_stats(&self) -> FrontendStats {
-        // An in-progress brownout reports its live elapsed time without
-        // consuming it (the counter is only advanced at mode exit).
-        let live_brownout_us = lock_unpoisoned(&self.brownout_entered)
-            .as_ref()
-            .map(|entered| entered.elapsed().as_micros() as u64)
-            .unwrap_or(0);
         FrontendStats {
             retries: self.fe.retries.get(),
             breaker_trips: self.breakers.trips(),
             breaker_rejects: self.breakers.rejects(),
             brownout_served: self.fe.brownout_served.get(),
-            brownout_us: self.fe.brownout_us.get() + live_brownout_us,
         }
     }
 
@@ -642,7 +550,7 @@ impl ShardedService {
     }
 
     /// Prometheus text exposition of the **tier-level** registry — the
-    /// front end's retry/brownout counters and the shared circuit
+    /// front end's retry/inline-answer counters and the shared circuit
     /// breakers — under the `causality_tier_` prefix (one series each;
     /// the `shard="0"` label is an artifact of the exporter's per-slice
     /// labelling).
@@ -780,9 +688,11 @@ mod tests {
     use super::*;
     use crate::breaker::BreakerState;
     use crate::clock::ManualClock;
+    use causality_core::explain::ExplainMode;
     use causality_engine::database::example_2_2;
-    use causality_engine::{tup, ConjunctiveQuery, Value};
+    use causality_engine::{tup, ConjunctiveQuery, Schema, Value};
     use std::sync::atomic::AtomicBool;
+    use std::sync::Mutex;
 
     fn query() -> ConjunctiveQuery {
         ConjunctiveQuery::parse("q(x) :- R(x, y), S(y)").unwrap()
@@ -908,34 +818,55 @@ mod tests {
     }
 
     #[test]
-    fn default_deadline_is_stamped() {
+    fn an_answer_past_its_deadline_is_counted_late_not_missed() {
         let tier = ShardedService::new(TierConfig {
             shards: 1,
-            default_deadline: Some(Duration::from_millis(5)),
-            shard: ServiceConfig {
-                workers: 1,
-                batch_max: 1,
-                ..ServiceConfig::default()
-            },
             ..TierConfig::default()
         });
         let t = tier.add_tenant("t", example_2_2()).unwrap();
-        tier.inject_faults(|_, _, req| FaultAction {
-            stall: (req.answer == vec![Value::str("a2")]).then_some(Duration::from_millis(60)),
+        // The PTIME job starts within its budget, then overruns it.
+        tier.inject_faults(|_, _, _| FaultAction {
+            stall: Some(Duration::from_millis(60)),
             ..FaultAction::default()
         });
-        let blocker = tier
-            .submit(t, ExplainRequest::why_so(query(), vec![Value::str("a2")]))
+        let req = ExplainRequest::why_so(query(), vec![Value::str("a2")]);
+        let resp = tier
+            .submit_with_deadline(t, req, Duration::from_millis(20))
+            .unwrap()
+            .wait()
             .unwrap();
-        let doomed = tier
-            .submit(t, ExplainRequest::why_so(query(), vec![Value::str("a3")]))
+        assert!(resp.result.is_ok());
+        let stats = tier.stats().aggregate();
+        assert_eq!(stats.late_answers, 1);
+        assert_eq!(stats.deadline_misses, 0);
+        assert!(tier.export_metrics().contains("late_answers_total"));
+        tier.shutdown();
+    }
+
+    #[test]
+    fn an_idle_shard_queues_even_a_zero_budget_hard_request() {
+        let tier = small_tier();
+        let mut db = Database::new();
+        let r = db.add_relation(Schema::new("R", &["x", "y"]));
+        let s = db.add_relation(Schema::new("S", &["y", "z"]));
+        let t = db.add_relation(Schema::new("T", &["z", "x"]));
+        db.insert_endo(r, tup![1, 2]);
+        db.insert_endo(s, tup![2, 3]);
+        db.insert_endo(t, tup![3, 1]);
+        let tri = tier.add_tenant("tri", db).unwrap();
+        let q = ConjunctiveQuery::parse("h :- R(x, y), S(y, z), T(z, x)").unwrap();
+        // An empty queue predicts zero wait, which no budget is below:
+        // the job queues, and the worker rescues it with the bracket.
+        let resp = tier
+            .submit_with_deadline(tri, ExplainRequest::why_so(q, vec![]), Duration::ZERO)
+            .unwrap()
+            .wait()
             .unwrap();
-        assert!(matches!(
-            doomed.wait().unwrap().result,
-            Err(ServiceError::DeadlineExceeded)
-        ));
-        assert!(blocker.wait().unwrap().result.is_ok());
-        assert_eq!(tier.stats().aggregate().deadline_misses, 1);
+        let explanation = resp.result.unwrap();
+        assert!(matches!(explanation.mode, ExplainMode::Approximate { .. }));
+        assert_eq!(tier.stats().frontend.brownout_served, 0);
+        assert_eq!(tier.stats().aggregate().batches, 1, "a worker served it");
+        tier.shutdown();
     }
 
     #[test]

@@ -87,11 +87,13 @@
 //!   [`ShardedService::export_traces`]), and requests crossing the
 //!   configured latency or slack thresholds are duplicated into an
 //!   explanation slow-log ([`ShardedService::slow_log_records`]);
-//! * hardness-aware routing (PR 8) — workers classify each Why-So
-//!   request with the dichotomy tag before solving: PTIME instances run
-//!   the exact kernels exactly as before, while NP-hard instances that
-//!   carry a deadline are routed to the anytime responsibility kernel
-//!   (`causality_core::resp::approx`). The anytime path spends the
+//! * hardness-aware routing (PR 8) — the front end classifies each
+//!   deadline-bound Why-So request once, at admission, from the query
+//!   it grounded while validating (deadline-free requests are never
+//!   classified): PTIME instances run the exact kernels exactly as
+//!   before, while NP-hard ones are routed to the anytime
+//!   responsibility kernel (`causality_core::resp::approx`). The
+//!   anytime path spends the
 //!   remaining deadline slack refining certified `[lower, upper]`
 //!   responsibility bounds and always returns an
 //!   [`ExplainMode::Approximate`] answer with sound [`RhoBounds`] — a
@@ -109,9 +111,13 @@
 //!   ([`ServiceError::is_retryable`]) on the tenant's home shard under
 //!   seeded full-jitter backoff; per-tenant circuit breakers ([`BreakerConfig`]) shed a
 //!   tenant whose requests keep dying before they can occupy queues;
-//!   and past a configurable high-water mark the tier *browns out*,
-//!   serving routable NP-hard requests inline with the certified
-//!   zero-budget bracket instead of rejecting them. Deterministic chaos
+//!   and the tier degrades by deadline: a routable NP-hard request
+//!   whose shard's predicted queue wait exceeds its remaining budget is
+//!   answered inline on the caller's thread, through the worker's own
+//!   one-job path (cache probe, panic boundary, fault hook, counters),
+//!   with that budget as its anytime budget. Deadline-free requests are
+//!   never degraded, and an `Ok` answer sent past its deadline is
+//!   counted in [`ServiceStats::late_answers`]. Deterministic chaos
 //!   soaks drive all of it via seeded [`FaultPlan`]s installed as the
 //!   fault hook.
 //!

@@ -25,9 +25,11 @@ use crate::lru::LruCache;
 use crate::request::{ExplainRequest, ServiceError};
 use crate::stats::StatsCounters;
 use crate::supervisor::HealthCell;
-use crate::worker::{worker_loop, Job, Msg};
+use crate::worker::{worker_loop, Job};
 use causality_core::explain::Explanation;
-use causality_engine::{Database, RelId, RelVersion, SharedIndexCache, Snapshot, SnapshotStore};
+use causality_engine::{
+    ConjunctiveQuery, Database, RelId, RelVersion, SharedIndexCache, Snapshot, SnapshotStore,
+};
 use causality_telemetry::{MetricsRegistry, Telemetry, TelemetryConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -256,14 +258,10 @@ impl ShardCore {
         }
     }
 
-    /// How long a rejected caller should wait before retrying: the time
-    /// this shard needs to drain its current queue, estimated from the
-    /// observed mean response latency (which already folds in queue
-    /// wait) divided across the worker pool. Clamped to `[1ms, 2s]` so
-    /// a cold histogram or a pathological backlog still yields a usable
-    /// hint.
-    pub(crate) fn retry_after_hint(&self) -> Duration {
-        let depth = self.stats.queue_depth.get().max(1);
+    /// The time this shard needs to drain `depth` queued jobs, in µs:
+    /// `depth` × the observed mean response latency (which already folds
+    /// in queue wait; 1 ms on a cold histogram) ÷ the worker count.
+    fn drain_us(&self, depth: u64) -> u64 {
         let samples: u64 = self.stats.latency.counts(false).iter().sum();
         let mean_us = self
             .stats
@@ -271,10 +269,21 @@ impl ShardCore {
             .sum_us(false)
             .checked_div(samples)
             .map_or(1_000, |mean| mean.max(1));
-        let drain_us = depth
-            .saturating_mul(mean_us)
-            .checked_div(self.cfg.workers as u64)
-            .unwrap_or(mean_us);
+        depth.saturating_mul(mean_us) / self.cfg.workers as u64
+    }
+
+    /// How long a job admitted now would wait in the queue: the drain
+    /// time of the current queue, unclamped, and zero when the queue is
+    /// empty — so an idle shard never answers inline.
+    pub(crate) fn predicted_wait(&self) -> Duration {
+        Duration::from_micros(self.drain_us(self.stats.queue_depth.get()))
+    }
+
+    /// How long a rejected caller should wait before retrying: the drain
+    /// time of at least one queued job, clamped to `[1ms, 2s]` so a cold
+    /// histogram or a pathological backlog still yields a usable hint.
+    pub(crate) fn retry_after_hint(&self) -> Duration {
+        let drain_us = self.drain_us(self.stats.queue_depth.get().max(1));
         Duration::from_micros(drain_us.clamp(1_000, 2_000_000))
     }
 }
@@ -297,12 +306,12 @@ pub(crate) fn resp_fingerprint(
 }
 
 /// Reject malformed requests at submit time: grounding must succeed, so a
-/// worker can never hit an answer/head mismatch mid-computation.
-pub(crate) fn validate(request: &ExplainRequest) -> Result<(), ServiceError> {
+/// worker can never hit an answer/head mismatch mid-computation. Returns
+/// the grounded query, which admission classifies for the route.
+pub(crate) fn validate(request: &ExplainRequest) -> Result<ConjunctiveQuery, ServiceError> {
     request
         .query
         .try_ground(&request.answer)
-        .map(|_| ())
         .map_err(|e| ServiceError::InvalidRequest(e.to_string()))
 }
 
@@ -324,8 +333,8 @@ pub(crate) struct Shard {
     /// `None` once the shard is shut down. Dropping the sender is the
     /// shutdown signal: workers drain every buffered job, then exit on
     /// disconnect.
-    tx: RwLock<Option<SyncSender<Msg>>>,
-    rx: Arc<Mutex<Receiver<Msg>>>,
+    tx: RwLock<Option<SyncSender<Box<Job>>>>,
+    rx: Arc<Mutex<Receiver<Box<Job>>>>,
     name: String,
     /// Every worker thread ever spawned (all generations); joined at
     /// shutdown.
@@ -363,7 +372,7 @@ impl Shard {
             generation: AtomicU64::new(0),
             breakers,
         });
-        let (tx, rx) = sync_channel::<Msg>(cfg.queue_capacity);
+        let (tx, rx) = sync_channel::<Box<Job>>(cfg.queue_capacity);
         let rx = Arc::new(Mutex::new(rx));
         let shard = Shard {
             core,
@@ -420,7 +429,7 @@ impl Shard {
     }
 
     /// A clone of the queue's sender, or `None` after shutdown.
-    fn sender(&self) -> Option<SyncSender<Msg>> {
+    fn sender(&self) -> Option<SyncSender<Box<Job>>> {
         self.tx
             .read()
             .unwrap_or_else(PoisonError::into_inner)
@@ -448,19 +457,19 @@ impl Shard {
             return Err(ServiceError::Disconnected);
         };
         self.core.stats.queue_depth.inc();
-        match tx.try_send(Msg::Job(Box::new(job))) {
+        match tx.try_send(Box::new(job)) {
             Ok(()) => {
                 self.core.stats.requests.inc();
                 Ok(())
             }
             Err(e) => {
                 self.core.stats.queue_depth.dec(1);
-                let (err, Msg::Job(job)) = match e {
+                let (err, job) = match e {
                     // The channel filling between the depth check and the
                     // send is still "past the queue-depth limit" to a
                     // caller.
-                    TrySendError::Full(msg) => (self.overloaded(), msg),
-                    TrySendError::Disconnected(msg) => (ServiceError::Disconnected, msg),
+                    TrySendError::Full(job) => (self.overloaded(), job),
+                    TrySendError::Disconnected(job) => (ServiceError::Disconnected, job),
                 };
                 self.core.finalize_unqueued(*job, err.outcome_label());
                 Err(err)

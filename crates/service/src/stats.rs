@@ -22,7 +22,7 @@ pub use causality_telemetry::{quantile_us, LATENCY_BUCKETS};
 
 /// The canonical metric names a shard registers, in registration order.
 /// `trace-report` and dashboards key off these.
-const COUNTER_NAMES: [&str; 16] = [
+const COUNTER_NAMES: [&str; 17] = [
     "requests_total",
     "batches_total",
     "batched_requests_total",
@@ -35,6 +35,7 @@ const COUNTER_NAMES: [&str; 16] = [
     "panics_caught_total",
     "admission_rejects_total",
     "deadline_misses_total",
+    "late_answers_total",
     "approx_requests_total",
     "approx_refinements_total",
     "shard_restarts_total",
@@ -61,6 +62,7 @@ pub(crate) struct StatsCounters {
     pub panics_caught: Arc<Counter>,
     pub admission_rejects: Arc<Counter>,
     pub deadline_misses: Arc<Counter>,
+    pub late_answers: Arc<Counter>,
     pub approx_requests: Arc<Counter>,
     pub approx_refinements: Arc<Counter>,
     pub shard_restarts: Arc<Counter>,
@@ -91,10 +93,11 @@ impl StatsCounters {
             panics_caught: c(9),
             admission_rejects: c(10),
             deadline_misses: c(11),
-            approx_requests: c(12),
-            approx_refinements: c(13),
-            shard_restarts: c(14),
-            shard_quarantines: c(15),
+            late_answers: c(12),
+            approx_requests: c(13),
+            approx_refinements: c(14),
+            shard_restarts: c(15),
+            shard_quarantines: c(16),
             queue_depth: registry.gauge("queue_depth"),
             latency: registry.histogram("latency_us"),
             bound_width: registry.histogram("bound_width_ppm"),
@@ -137,6 +140,7 @@ impl StatsCounters {
             panics_caught: Self::read(&self.panics_caught, reset),
             admission_rejects: Self::read(&self.admission_rejects, reset),
             deadline_misses: Self::read(&self.deadline_misses, reset),
+            late_answers: Self::read(&self.late_answers, reset),
             approx_requests: Self::read(&self.approx_requests, reset),
             approx_refinements: Self::read(&self.approx_refinements, reset),
             // Lifecycle counters, never reset: a phase boundary does not
@@ -190,8 +194,8 @@ pub struct ServiceStats {
     /// Version of the currently published snapshot (highest tenant
     /// version on a multi-tenant shard).
     pub snapshot_version: u64,
-    /// Requests accepted: queued onto the shard, or answered inline by
-    /// the brownout path.
+    /// Requests accepted: queued onto the shard, or answered inline
+    /// because their deadline would expire in the queue.
     pub requests: u64,
     /// Batches pulled off the queue by workers.
     pub batches: u64,
@@ -234,6 +238,11 @@ pub struct ServiceStats {
     /// [`ServiceError::DeadlineExceeded`](crate::ServiceError::DeadlineExceeded)
     /// without occupying the worker.
     pub deadline_misses: u64,
+    /// `Ok` answers sent after their request's deadline: a computation
+    /// that overran its budget, or an expired NP-hard job rescued with
+    /// the greedy bracket. Errors are not counted here (an expired PTIME
+    /// job is a [`ServiceStats::deadline_misses`] entry instead).
+    pub late_answers: u64,
     /// Fresh computations the hardness router sent down the anytime
     /// approximation path (NP-hard Why-So under a deadline); their
     /// responses carry [`ExplainMode::Approximate`](crate::ExplainMode)
@@ -278,6 +287,7 @@ impl ServiceStats {
             panics_caught: 0,
             admission_rejects: 0,
             deadline_misses: 0,
+            late_answers: 0,
             approx_requests: 0,
             approx_refinements: 0,
             shard_restarts: 0,
@@ -348,6 +358,7 @@ impl ServiceStats {
         self.panics_caught += other.panics_caught;
         self.admission_rejects += other.admission_rejects;
         self.deadline_misses += other.deadline_misses;
+        self.late_answers += other.late_answers;
         self.approx_requests += other.approx_requests;
         self.approx_refinements += other.approx_refinements;
         self.shard_restarts += other.shard_restarts;
@@ -365,7 +376,7 @@ impl ServiceStats {
 
 /// Tier-level (front-end) resilience counters (PR 9): everything the
 /// self-healing layer does *between* the shards — retries, breaker
-/// activity, brownout — rather than inside one of them. Sourced
+/// activity, inline answers — rather than inside one of them. Sourced
 /// from the tier registry alongside the per-shard [`ServiceStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FrontendStats {
@@ -375,11 +386,9 @@ pub struct FrontendStats {
     pub breaker_trips: u64,
     /// Requests shed at admission because a tenant's breaker was open.
     pub breaker_rejects: u64,
-    /// Requests served inline with the zero-budget greedy bracket while
-    /// the tier was browned out.
+    /// NP-hard requests answered inline on the caller's thread because
+    /// their shard's predicted queue wait exceeded their deadline budget.
     pub brownout_served: u64,
-    /// Cumulative microseconds the tier spent in brownout mode.
-    pub brownout_us: u64,
 }
 
 #[cfg(test)]
@@ -403,6 +412,7 @@ mod tests {
         c.panics_caught.inc();
         c.admission_rejects.inc();
         c.deadline_misses.add(4);
+        c.late_answers.add(3);
         c.approx_requests.add(2);
         c.approx_refinements.add(6);
         let s = c.snapshot(4, 7, 5);
@@ -417,6 +427,7 @@ mod tests {
         assert_eq!(s.panics_caught, 1);
         assert_eq!(s.admission_rejects, 1);
         assert_eq!(s.deadline_misses, 4);
+        assert_eq!(s.late_answers, 3);
         assert_eq!(s.approx_requests, 2);
         assert_eq!(s.approx_refinements, 6);
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
@@ -551,6 +562,7 @@ mod tests {
         a.latency.record(Duration::from_micros(10));
         let b = counters();
         b.requests.add(7);
+        b.late_answers.add(2);
         b.queue_depth.add(2);
         b.latency.record(Duration::from_micros(5000));
         let mut m = a.snapshot(2, 3, 1);
@@ -558,6 +570,7 @@ mod tests {
         assert_eq!(m.workers, 6);
         assert_eq!(m.snapshot_version, 9);
         assert_eq!(m.requests, 12);
+        assert_eq!(m.late_answers, 2);
         assert_eq!(m.index_entries, 3);
         assert_eq!(m.queue_depth, 2);
         assert_eq!(m.latency_samples(), 2, "merge preserves total count");

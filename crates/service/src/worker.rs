@@ -19,7 +19,7 @@ use causality_core::explain::{ExplainMode, ExplainTiming, Explainer, Explanation
 use causality_core::ranking::Method;
 use causality_core::resp::approx::ApproxBudget;
 use causality_core::DichotomyTag;
-use causality_engine::{SharedIndexCache, Snapshot};
+use causality_engine::{ConjunctiveQuery, SharedIndexCache, Snapshot};
 use causality_telemetry::{Stage, TraceBuilder};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,18 +29,24 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One queued unit of work: a request bound to a tenant, carrying its
-/// enqueue instant (for the latency histogram) and an optional deadline.
+/// enqueue instant (for the latency histogram), an optional deadline,
+/// and the dichotomy route decided at admission.
 pub(crate) struct Job {
     /// Which tenant's snapshot store serves this request.
     pub tenant: TenantKey,
     /// The request itself.
     pub request: ExplainRequest,
     /// If set, the instant past which the job must not *start*: a worker
-    /// draining an expired job responds [`ServiceError::DeadlineExceeded`]
-    /// instead of computing. (A computation already underway runs to
-    /// completion — enforcement is at admission and dequeue, which bounds
-    /// the overrun by one batch's compute time.)
+    /// draining an expired PTIME job responds
+    /// [`ServiceError::DeadlineExceeded`] instead of computing. (A
+    /// computation already underway runs to completion — enforcement is
+    /// at admission and dequeue, which bounds the overrun by one batch's
+    /// compute time; [`respond`] counts the overrun as a late answer.)
     pub deadline: Option<Instant>,
+    /// Whether the job takes the anytime route: decided once at
+    /// admission by [`anytime_routable`], and only for jobs that carry a
+    /// deadline (a deadline-free job was promised an exact answer).
+    pub routable: bool,
     /// When the job was accepted, for submit→response latency.
     pub enqueued: Instant,
     /// Where the response goes.
@@ -57,6 +63,7 @@ impl Job {
             tenant: self.tenant,
             enqueued: self.enqueued,
             deadline: self.deadline,
+            routable: self.routable,
             tx: self.tx,
             trace: self.trace,
         };
@@ -70,44 +77,41 @@ pub(crate) struct JobTail {
     tenant: TenantKey,
     enqueued: Instant,
     deadline: Option<Instant>,
+    routable: bool,
     tx: Sender<ExplainResponse>,
     trace: Option<Box<TraceBuilder>>,
 }
 
 /// Whether the hardness router may send this request down the anytime
 /// path: a Why-So request with automatic method choice whose grounded
-/// query the dichotomy classifier (Cor. 4.14 / Prop. 4.16) marks
-/// NP-hard. Everything else — PTIME queries, explicit methods, Why-No,
-/// top-k — keeps the exact kernels, bit-identical to a deadline-free
-/// submission.
-pub(crate) fn anytime_routable(request: &ExplainRequest) -> bool {
+/// query (`grounded`, as admission produced it) the dichotomy classifier
+/// (Cor. 4.14 / Prop. 4.16) marks NP-hard. Everything else — PTIME
+/// queries, explicit methods, Why-No, top-k — keeps the exact kernels,
+/// bit-identical to a deadline-free submission.
+pub(crate) fn anytime_routable(request: &ExplainRequest, grounded: &ConjunctiveQuery) -> bool {
     matches!(request.kind, ExplainKind::WhySo)
         && matches!(request.method, Method::Auto)
         && matches!(
-            request
-                .query
-                .try_ground(&request.answer)
-                .map(|g| DichotomyTag::of_why_so(&g)),
-            Ok(DichotomyTag::NpHard | DichotomyTag::HardSelfJoin)
+            DichotomyTag::of_why_so(grounded),
+            DichotomyTag::NpHard | DichotomyTag::HardSelfJoin
         )
 }
 
-/// What travels on a shard's queue. A single-variant enum rather than a
-/// bare `Box<Job>`: shutdown is signalled by dropping the sender (which
-/// still drains the buffer), not by an in-band message — a restartable
-/// pool (PR 9) cannot know how many in-band sentinels would be needed.
-pub(crate) enum Msg {
-    /// A unit of work.
-    Job(Box<Job>),
-}
-
 /// Send `response` for a job accepted at `enqueued`, recording the
-/// submit→response latency, reporting the outcome to the tenant's
-/// circuit breaker, and finishing the job's trace (outcome label,
-/// respond stage, explanation attributes). Every answer — worker-served
-/// or served inline by the front end's brownout path — goes through
-/// here. A requester that dropped its handle is not an error.
+/// submit→response latency, counting an `Ok` answer sent past its
+/// deadline as late, reporting the outcome to the tenant's circuit
+/// breaker, and finishing the job's trace (outcome label, respond stage,
+/// explanation attributes). Every answer — queued or answered inline —
+/// goes through here. A requester that dropped its handle is not an
+/// error.
 pub(crate) fn respond(core: &ShardCore, tail: JobTail, response: ExplainResponse) {
+    // Errors past the deadline are already `deadline_misses`; a
+    // deadline-free job skips the clock read.
+    if let (Some(deadline), Ok(_)) = (tail.deadline, &response.result) {
+        if Instant::now() > deadline {
+            core.stats.late_answers.inc();
+        }
+    }
     if let Some(mut tb) = tail.trace {
         tb.begin(Stage::Respond);
         let outcome = match &response.result {
@@ -141,7 +145,7 @@ pub(crate) fn respond(core: &ShardCore, tail: JobTail, response: ExplainResponse
 /// One worker thread's life: drain batches off the shared queue until
 /// the channel disconnects (shutdown) or this worker's `generation`
 /// goes stale (a pool restart replaced it).
-pub(crate) fn worker_loop(rx: &Mutex<Receiver<Msg>>, core: &ShardCore, generation: u64) {
+pub(crate) fn worker_loop(rx: &Mutex<Receiver<Box<Job>>>, core: &ShardCore, generation: u64) {
     loop {
         if core.generation.load(Ordering::Relaxed) != generation {
             return; // retired by a pool restart
@@ -150,17 +154,19 @@ pub(crate) fn worker_loop(rx: &Mutex<Receiver<Msg>>, core: &ShardCore, generatio
         {
             let rx = lock_unpoisoned(rx);
             match rx.recv() {
-                Ok(Msg::Job(job)) => batch.push(*job),
+                Ok(job) => batch.push(*job),
                 Err(_) => return,
             }
             while batch.len() < core.cfg.batch_max {
                 match rx.try_recv() {
-                    Ok(Msg::Job(job)) => batch.push(*job),
+                    Ok(job) => batch.push(*job),
                     Err(_) => break,
                 }
             }
         }
         core.stats.queue_depth.dec(batch.len() as u64);
+        core.stats.batches.inc();
+        core.stats.batched_requests.add(batch.len() as u64);
         process_batch(core, batch);
     }
 }
@@ -168,15 +174,14 @@ pub(crate) fn worker_loop(rx: &Mutex<Receiver<Msg>>, core: &ShardCore, generatio
 /// Evaluate one batch: enforce deadlines, group identical
 /// (tenant, request) pairs, serve them from the responsibility cache
 /// when possible, and compute each distinct miss exactly once against a
-/// snapshot pinned per group.
-fn process_batch(core: &ShardCore, batch: Vec<Job>) {
-    core.stats.batches.inc();
-    core.stats.batched_requests.add(batch.len() as u64);
-
+/// snapshot pinned per group. The front end's inline answers run
+/// through here too, as a batch of one on the caller's thread.
+pub(crate) fn process_batch(core: &ShardCore, batch: Vec<Job>) {
     // Deadline gate at dequeue: an expired job costs a response, never a
     // computation — the worker's budget is spent on requests that can
     // still meet theirs. Beginning `WorkerDequeue` here closes the
-    // cross-thread `ShardQueue` stage the frontend opened.
+    // stage the frontend left open (`ShardQueue`, or `Dispatch` for an
+    // inline answer).
     let now = Instant::now();
     let mut live: Vec<Job> = Vec::with_capacity(batch.len());
     for mut job in batch {
@@ -190,7 +195,7 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
             // `DeadlineExceeded` once admitted. PTIME instances keep the
             // strict gate — their exact compute is the whole request, so
             // past the deadline there is nothing useful left to return.
-            Some(deadline) if deadline <= now && !anytime_routable(&job.request) => {
+            Some(deadline) if deadline <= now && !job.routable => {
                 core.stats.deadline_misses.inc();
                 respond(
                     core,
@@ -270,17 +275,19 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
             None => {
                 core.stats.cache_misses.inc();
                 core.stats.coalesced.add(senders.len() as u64 - 1);
-                // The anytime budget is the *tightest* waiter's remaining
-                // slack; a single deadline-free rider keeps the group on
-                // the exact path (it was promised an exact answer).
-                let deadline = senders
+                // The group goes anytime only if every waiter was routed
+                // so at admission (a single deadline-free rider keeps it
+                // exact: it was promised an exact answer); the budget is
+                // the *tightest* waiter's remaining slack.
+                let anytime_deadline = senders
                     .iter()
-                    .map(|t| t.deadline)
+                    .map(|t| t.deadline.filter(|_| t.routable))
                     .try_fold(None::<Instant>, |acc, d| {
                         d.map(|d| Some(acc.map_or(d, |a| a.min(d))))
                     })
                     .flatten();
-                let computed = compute_isolated(core, &snapshot, &index_cache, &request, deadline);
+                let computed =
+                    compute_isolated(core, &snapshot, &index_cache, &request, anytime_deadline);
                 let compute_end = Instant::now();
                 let (computed, timing) = match computed {
                     Ok((explanation, timing)) => {
@@ -359,7 +366,7 @@ fn compute_isolated(
     snapshot: &Snapshot,
     index_cache: &Arc<SharedIndexCache>,
     request: &ExplainRequest,
-    deadline: Option<Instant>,
+    anytime_deadline: Option<Instant>,
 ) -> Result<(Explanation, ExplainTiming), ServiceError> {
     let guarded = catch_unwind(AssertUnwindSafe(|| {
         // Production fast path: with no fault hook armed, serving skips
@@ -367,7 +374,7 @@ fn compute_isolated(
         if core.chaos_armed.load(Ordering::Acquire) {
             inject_faults(core, request);
         }
-        compute(core, snapshot, index_cache, request, deadline)
+        compute(core, snapshot, index_cache, request, anytime_deadline)
     }));
     match guarded {
         Ok(result) => {
@@ -418,12 +425,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Run one computation. `anytime_deadline` is `Some` exactly when the
+/// group was routed to the anytime path at admission.
 fn compute(
     core: &ShardCore,
     snapshot: &Snapshot,
     index_cache: &Arc<SharedIndexCache>,
     request: &ExplainRequest,
-    deadline: Option<Instant>,
+    anytime_deadline: Option<Instant>,
 ) -> Result<(Explanation, ExplainTiming), ServiceError> {
     let explainer = Explainer::new(snapshot.database(), &request.query)
         .with_method(request.method)
@@ -433,10 +442,10 @@ fn compute(
         // the anytime path, with the request's remaining slack as its
         // whole budget (an already-expired deadline degrades to the
         // zero-budget greedy bracket — still sound, never an error).
-        ExplainKind::WhySo if deadline.is_some() && anytime_routable(request) => {
+        ExplainKind::WhySo if anytime_deadline.is_some() => {
             let budget = ApproxBudget {
                 max_steps: u64::MAX,
-                deadline,
+                deadline: anytime_deadline,
             };
             let (explanation, timing) = explainer.why_anytime(&request.answer, budget)?;
             core.stats.approx_requests.inc();

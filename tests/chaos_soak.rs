@@ -83,7 +83,6 @@ fn seeded_chaos_soak_heals_with_zero_silent_drops() {
             TierConfig {
                 shards: SHARDS,
                 admission_limit: 32,
-                default_deadline: None,
                 retry: RetryPolicy {
                     max_attempts: 2,
                     base: Duration::from_millis(1),
@@ -109,7 +108,6 @@ fn seeded_chaos_soak_heals_with_zero_silent_drops() {
                     queue_capacity: 64,
                     ..ServiceConfig::default()
                 },
-                ..TierConfig::default()
             },
             clock.clone(),
         );

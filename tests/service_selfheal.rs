@@ -1,7 +1,8 @@
 //! Self-healing serving tier (PR 9), end to end through the public
 //! APIs: the supervisor quarantines and restarts a wedged shard without
-//! losing a single queued request, brownout mode serves certified
-//! zero-budget answers instead of shedding NP-hard traffic, per-tenant
+//! losing a single queued request, a deadline-bound NP-hard request
+//! whose budget is shorter than its shard's predicted queue wait is
+//! answered inline through the worker's own compute path, per-tenant
 //! circuit breakers trip and recover on an injected clock, and the
 //! seeded fault-plan / backoff machinery replays bit-identically. All
 //! scenarios run under hard timeouts so a supervision deadlock fails
@@ -9,6 +10,7 @@
 
 use causality::prelude::*;
 use causality::service::retry::{backoff, JitterRng};
+use causality::service::PendingExplain;
 use proptest::prelude::*;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -54,7 +56,7 @@ fn query() -> ConjunctiveQuery {
 }
 
 /// A 3-tuple triangle instance whose Why-So is NP-hard (non-weakly
-/// linear per Cor. 4.14) — the request shape the brownout path and the
+/// linear per Cor. 4.14) — the request shape the deadline rule and the
 /// hardness router act on.
 fn triangle_tenant() -> (Database, ConjunctiveQuery) {
     let mut db = Database::new();
@@ -154,56 +156,78 @@ fn supervisor_restarts_a_wedged_shard_without_losing_requests() {
     });
 }
 
-/// Brownout: with the tier's queues past the high-water mark, a
-/// routable NP-hard request is served *inline* with the certified
-/// zero-budget greedy bracket — never `Overloaded`, never queued — and
-/// the mode recovers hysteretically once the depth falls to the
-/// low-water mark.
-#[test]
-fn brownout_serves_certified_answers_inline_and_recovers() {
-    with_timeout(|| {
-        let tier = ShardedService::new(TierConfig {
-            shards: 1,
-            admission_limit: 64,
-            brownout_high_water: 2,
-            brownout_low_water: 0,
-            supervisor: SupervisorConfig::disabled(),
-            shard: ServiceConfig {
-                workers: 1,
-                batch_max: 1,
-                queue_capacity: 64,
-                ..ServiceConfig::default()
-            },
-            ..TierConfig::default()
-        });
-        let easy = tier.add_tenant("easy", seed_database()).unwrap();
-        let (tri_db, tri_query) = triangle_tenant();
-        let hard = tier.add_tenant("triangle", tri_db).unwrap();
-
-        // Pile three stalled blockers onto the single worker so the
-        // tier-wide queue depth crosses the high-water mark of 2.
-        tier.inject_faults(|_, _, req| FaultAction {
+/// A one-worker, one-shard tier hosting an easy tenant and the NP-hard
+/// triangle tenant, with three stalled PTIME blockers submitted onto
+/// its only queue: the backlog the deadline rule acts on. With
+/// `panic_on_hard`, the fault hook also panics inside every computation
+/// of the triangle query.
+fn backlogged_tier(
+    panic_on_hard: bool,
+) -> (
+    ShardedService,
+    TenantId,
+    ConjunctiveQuery,
+    Vec<PendingExplain>,
+) {
+    let tier = ShardedService::new(TierConfig {
+        shards: 1,
+        admission_limit: 64,
+        supervisor: SupervisorConfig::disabled(),
+        shard: ServiceConfig {
+            workers: 1,
+            batch_max: 1,
+            queue_capacity: 64,
+            ..ServiceConfig::default()
+        },
+        ..TierConfig::default()
+    });
+    let easy = tier.add_tenant("easy", seed_database()).unwrap();
+    let (tri_db, tri_query) = triangle_tenant();
+    let hard = tier.add_tenant("triangle", tri_db).unwrap();
+    tier.inject_faults({
+        let tri_query = tri_query.clone();
+        move |_, _, req| FaultAction {
             stall: (req.answer == vec![Value::str("a2")]).then_some(Duration::from_millis(40)),
+            panic: panic_on_hard && req.query == tri_query,
             ..FaultAction::default()
-        });
-        let easy_req = ExplainRequest::why_so(query(), vec![Value::str("a2")]);
-        let blockers: Vec<_> = (0..3)
-            .map(|_| tier.submit(easy, easy_req.clone()).unwrap())
-            .collect();
+        }
+    });
+    let easy_req = ExplainRequest::why_so(query(), vec![Value::str("a2")]);
+    let blockers = (0..3)
+        .map(|_| tier.submit(easy, easy_req.clone()).unwrap())
+        .collect();
+    (tier, hard, tri_query, blockers)
+}
 
-        // Browned out: the NP-hard request is answered inline with the
-        // certified zero-budget bracket instead of joining the queue.
+/// The budget of the deadline-bound NP-hard requests below: shorter
+/// than the backlog's predicted wait (at least two queued jobs at the
+/// cold-histogram estimate of 1 ms each, on one worker).
+const TIGHT_BUDGET: Duration = Duration::from_millis(1);
+
+/// Degrade by deadline: behind a backlog whose predicted wait exceeds
+/// its budget, a deadline-bound NP-hard request is answered inline with
+/// a certified bracket instead of queueing; once the queue drains, the
+/// same request queues normally. Every answer, inline or queued, is
+/// accounted once.
+#[test]
+fn deadline_bound_hard_request_is_answered_inline_behind_a_backlog() {
+    with_timeout(|| {
+        let (tier, hard, tri_query, blockers) = backlogged_tier(false);
+        let req = ExplainRequest::why_so(tri_query, vec![]);
+
         let resp = tier
-            .explain(hard, ExplainRequest::why_so(tri_query.clone(), vec![]))
+            .submit_with_deadline(hard, req.clone(), TIGHT_BUDGET)
+            .unwrap()
+            .wait()
             .unwrap();
-        let explanation = resp.result.expect("brownout degrades, never rejects");
-        assert!(
-            matches!(explanation.mode, ExplainMode::Approximate { .. }),
-            "brownout answers carry the approximate mode: {:?}",
-            explanation.mode
-        );
-        if let ExplainMode::Approximate { bounds, .. } = explanation.mode {
-            assert!(bounds.lower <= bounds.upper && bounds.upper <= 1.0 + 1e-12);
+        let explanation = resp
+            .result
+            .expect("an inline answer degrades, never rejects");
+        match explanation.mode {
+            ExplainMode::Approximate { bounds, .. } => {
+                assert!(bounds.lower <= bounds.upper && bounds.upper <= 1.0 + 1e-12);
+            }
+            other => panic!("inline answers carry the approximate mode: {other:?}"),
         }
         assert!(!explanation.causes.is_empty());
         assert!(!resp.cache_hit);
@@ -214,32 +238,77 @@ fn brownout_serves_certified_answers_inline_and_recovers() {
         }
         tier.clear_faults();
 
-        // Hysteresis: with the queues drained to the low-water mark the
-        // next submit leaves brownout, the mode's duration is accounted,
-        // and the same NP-hard request runs the normal exact path again.
-        let recovered = tier
-            .explain(hard, ExplainRequest::why_so(tri_query, vec![]))
+        // Drained: an empty queue predicts zero wait, so the same
+        // deadline-bound request queues and a worker answers it.
+        let queued = tier
+            .submit_with_deadline(hard, req, TIGHT_BUDGET)
+            .unwrap()
+            .wait()
             .unwrap();
+        assert!(matches!(
+            queued.result.unwrap().mode,
+            ExplainMode::Approximate { .. }
+        ));
         assert_eq!(
-            recovered.result.unwrap().mode,
-            ExplainMode::Exact,
-            "deadline-free NP-hard traffic is exact once brownout lifts"
+            tier.stats().frontend.brownout_served,
+            1,
+            "only the request behind the backlog was answered inline"
         );
-        let fe = tier.stats().frontend;
-        assert_eq!(
-            fe.brownout_served, 1,
-            "only the browned-out request degraded"
-        );
-        assert!(fe.brownout_us > 0, "the brownout window was accounted");
 
-        // One accounting path: the inline brownout answer is counted
-        // like every worker answer — three blockers, the brownout answer,
-        // and the recovered request each leave a latency sample, a
-        // request count, and a trace.
+        // One accounting path: three blockers, the inline answer, and the
+        // queued one each leave a latency sample, a request, and a trace.
         let stats = tier.stats().aggregate();
         assert_eq!(stats.latency_samples(), 5, "every answer is a sample");
         assert_eq!(stats.requests, 5, "every answer was an accepted request");
         assert_eq!(tier.recent_traces().len(), 5, "every answer is traced");
+        assert_eq!(stats.batched_requests, 4, "workers served all but one");
+        tier.shutdown();
+    });
+}
+
+/// A deadline-free request was promised an exact answer: behind the same
+/// backlog, the NP-hard request queues and comes back exact.
+#[test]
+fn deadline_free_hard_request_behind_a_backlog_is_queued_and_exact() {
+    with_timeout(|| {
+        let (tier, hard, tri_query, blockers) = backlogged_tier(false);
+        let resp = tier
+            .explain(hard, ExplainRequest::why_so(tri_query, vec![]))
+            .unwrap();
+        assert_eq!(resp.result.unwrap().mode, ExplainMode::Exact);
+        for blocker in blockers {
+            blocker.wait().unwrap().result.unwrap();
+        }
+        assert_eq!(tier.stats().frontend.brownout_served, 0);
+        assert_eq!(tier.stats().aggregate().approx_requests, 0);
+        tier.shutdown();
+    });
+}
+
+/// An inline answer runs the worker's own compute path: the fault hook
+/// fires on it, and its panic is caught at the panic boundary and
+/// answered as `Panicked`, never unwinding the submitting thread.
+#[test]
+fn inline_answers_run_inside_the_fault_hook_and_panic_boundary() {
+    with_timeout(|| {
+        let (tier, hard, tri_query, blockers) = backlogged_tier(true);
+        let pending = tier
+            .submit_with_deadline(
+                hard,
+                ExplainRequest::why_so(tri_query, vec![]),
+                TIGHT_BUDGET,
+            )
+            .expect("the inline panic is contained, not propagated");
+        assert!(matches!(
+            pending.wait().unwrap().result,
+            Err(ServiceError::Panicked(_))
+        ));
+        let fe = tier.stats().frontend;
+        assert_eq!(fe.brownout_served, 1, "it was answered inline");
+        assert_eq!(tier.stats().aggregate().panics_caught, 1);
+        for blocker in blockers {
+            blocker.wait().unwrap().result.unwrap();
+        }
         tier.shutdown();
     });
 }
